@@ -40,7 +40,7 @@ fn bench_inference(c: &mut Criterion) {
     for batch_size in [8usize, 32] {
         let graphs: Vec<&EncodedGraph> = (0..batch_size).map(|i| &base[i % base.len()]).collect();
         for (hidden, layers) in [(16usize, 2usize), (32, 4)] {
-            let mut m = model(hidden, layers);
+            let m = model(hidden, layers);
             group.bench_function(format!("single_b{batch_size}_h{hidden}_l{layers}"), |b| {
                 b.iter(|| {
                     graphs
@@ -49,7 +49,7 @@ fn bench_inference(c: &mut Criterion) {
                         .collect::<Vec<_>>()
                 })
             });
-            let mut m = model(hidden, layers);
+            let m = model(hidden, layers);
             group.bench_function(format!("fused_b{batch_size}_h{hidden}_l{layers}"), |b| {
                 b.iter(|| {
                     let batch = GraphBatch::from_graphs(&graphs).unwrap();

@@ -109,12 +109,12 @@ fn committee(num_classes: usize) -> Vec<PnPModel> {
         .collect()
 }
 
-/// The single path: one forward per graph per model, graphs outermost so
-/// the committee accumulation order matches `committee_predict`.
-fn predict_single(models: &mut [PnPModel], graphs: &[&EncodedGraph]) -> Vec<Vec<f32>> {
+/// The single path: one forward per graph per model (a batch of one each),
+/// graphs outermost, models in committee order.
+fn predict_single(models: &[PnPModel], graphs: &[&EncodedGraph]) -> Vec<Vec<f32>> {
     let mut out = Vec::with_capacity(graphs.len() * models.len());
     for graph in graphs {
-        for model in models.iter_mut() {
+        for model in models {
             out.push(model.predict_proba(graph, None));
         }
     }
@@ -122,10 +122,10 @@ fn predict_single(models: &mut [PnPModel], graphs: &[&EncodedGraph]) -> Vec<Vec<
 }
 
 /// The fused path: one block-diagonal batch through every model.
-fn predict_batched(models: &mut [PnPModel], graphs: &[&EncodedGraph]) -> Vec<Vec<f32>> {
+fn predict_batched(models: &[PnPModel], graphs: &[&EncodedGraph]) -> Vec<Vec<f32>> {
     let batch = GraphBatch::from_graphs(graphs).expect("dataset graphs batch cleanly");
     let per_model: Vec<Vec<Vec<f32>>> = models
-        .iter_mut()
+        .iter()
         .map(|m| m.predict_proba_batch(&batch, None))
         .collect();
     let mut out = Vec::with_capacity(graphs.len() * models.len());
@@ -177,7 +177,7 @@ fn main() {
     }
     let batch_nodes: usize = graphs.iter().map(|g| g.num_nodes()).sum();
     let num_classes = ds.space.num_tuned_points();
-    let mut models = committee(num_classes);
+    let models = committee(num_classes);
     eprintln!(
         "[bench_inference] batch: {} graph(s), {} node(s), committee of {} ({} classes)",
         graphs.len(),
@@ -194,11 +194,11 @@ fn main() {
     // fused pass (measured whether or not 1 is in --threads) is the
     // thread-scaling denominator.
     set_matmul_threads(1);
-    let baseline = bits(&predict_single(&mut models, &graphs));
+    let baseline = bits(&predict_single(&models, &graphs));
     let mut batched_1t = f64::INFINITY;
     for _ in 0..opts.repeats {
         let start = Instant::now();
-        let _ = predict_batched(&mut models, &graphs);
+        let _ = predict_batched(&models, &graphs);
         batched_1t = batched_1t.min(start.elapsed().as_secs_f64());
     }
 
@@ -211,10 +211,10 @@ fn main() {
         let mut identical = true;
         for _ in 0..opts.repeats {
             let start = Instant::now();
-            let single = predict_single(&mut models, &graphs);
+            let single = predict_single(&models, &graphs);
             single_best = single_best.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            let batched = predict_batched(&mut models, &graphs);
+            let batched = predict_batched(&models, &graphs);
             batched_best = batched_best.min(start.elapsed().as_secs_f64());
             identical &= bits(&single) == baseline && bits(&batched) == baseline;
         }

@@ -173,14 +173,14 @@ pub fn try_run_on_datasets(
     let all_train: Vec<usize> = (0..train.len()).collect();
     let mut rows = Vec::with_capacity(train.space.power_levels.len());
     for (power_idx, &power_watts) in train.space.power_levels.iter().enumerate() {
-        let mut model = train_ood_model(train, settings, power_idx);
+        let model = train_ood_model(train, settings, power_idx);
         let prior = class_prior_scenario1(train, power_idx, &all_train);
 
         let mut pnp_ratios = Vec::with_capacity(eval.len());
         let mut oracle_ratios = Vec::with_capacity(eval.len());
         let mut oracle_fracs = Vec::with_capacity(eval.len());
         for (r, record) in eval.regions.iter().enumerate() {
-            let pred = predict_with_prior(&mut model, &record.graph, None, &prior);
+            let pred = predict_with_prior(&model, &record.graph, None, &prior);
             let sweep = &eval.sweeps[r];
             let t_pred = sweep.samples[power_idx][pred].time_s;
             let t_default = sweep.default_samples[power_idx].time_s;

@@ -116,9 +116,9 @@ impl PnPTuner {
 
     /// Predicts the best configuration point for an (encoded) region graph —
     /// zero executions needed.
-    pub fn predict(&mut self, graph: &EncodedGraph) -> ConfigPoint {
+    pub fn predict(&self, graph: &EncodedGraph) -> ConfigPoint {
         let class =
-            crate::training::predict_with_prior(&mut self.model, graph, None, &self.class_prior);
+            crate::training::predict_with_prior(&self.model, graph, None, &self.class_prior);
         match self.mode {
             TunerMode::PowerConstrained { power_idx } => ConfigPoint {
                 power_watts: self.dataset_space.power_levels[power_idx],
@@ -130,7 +130,7 @@ impl PnPTuner {
 
     /// The full ranking of configuration points, most promising first
     /// (prior-blended, like [`PnPTuner::predict`]).
-    pub fn predict_ranked(&mut self, graph: &EncodedGraph, top_k: usize) -> Vec<ConfigPoint> {
+    pub fn predict_ranked(&self, graph: &EncodedGraph, top_k: usize) -> Vec<ConfigPoint> {
         let probs = self.model.predict_proba(graph, None);
         let mut classes: Vec<usize> = (0..probs.len()).collect();
         // `total_cmp` keeps the ranking total even if a score degenerates to
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn trained_tuner_predicts_valid_points() {
         let ds = tiny_dataset();
-        let mut tuner = PnPTuner::train(
+        let tuner = PnPTuner::train(
             &ds,
             TunerMode::PowerConstrained { power_idx: 0 },
             &tiny_settings(),
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn edp_mode_predicts_a_power_level_too() {
         let ds = tiny_dataset();
-        let mut tuner = PnPTuner::train(&ds, TunerMode::Edp, &tiny_settings());
+        let tuner = PnPTuner::train(&ds, TunerMode::Edp, &tiny_settings());
         let point = tuner.predict(&ds.regions[1].graph);
         assert!(ds.space.power_levels.contains(&point.power_watts));
         assert_eq!(tuner.mode(), TunerMode::Edp);
@@ -214,8 +214,7 @@ mod tests {
         let ds = tiny_dataset();
         let mut settings = tiny_settings();
         settings.epochs = 40;
-        let mut tuner =
-            PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 3 }, &settings);
+        let tuner = PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 3 }, &settings);
         let mut near_optimal = 0;
         for i in 0..ds.len() {
             let predicted = tuner.predict(&ds.regions[i].graph);

@@ -329,25 +329,8 @@ pub fn restore_grid(
     Ok(models)
 }
 
-/// Committee prediction: the mean of `predict_proba` over the fold models
-/// (f64 accumulation in model order — deterministic), blended with the
-/// class prior by `ln p + ln prior` argmax exactly like the offline
-/// pipelines' `predict_with_prior`.
-pub fn committee_predict(models: &mut [PnPModel], graph: &EncodedGraph, prior: &[f64]) -> usize {
-    let mut sum = vec![0.0f64; prior.len()];
-    for model in models.iter_mut() {
-        let probs = model.predict_proba(graph, None);
-        for (s, &p) in sum.iter_mut().zip(&probs) {
-            *s += p as f64;
-        }
-    }
-    let n = models.len().max(1) as f64;
-    blend_with_prior(&sum, n, prior)
-}
-
-/// The committee's prior-blend argmax: `ln(mean proba) + ln(prior)` with
-/// strict `>` comparison. One function shared by the single and batched
-/// committees so their tie-breaking cannot drift apart.
+/// The committee's prior-blend argmax over summed fold probabilities:
+/// `ln(mean proba) + ln(prior)` with strict `>` comparison.
 fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
     let mut best = 0usize;
     let mut best_score = f64::NEG_INFINITY;
@@ -361,23 +344,25 @@ fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
     best
 }
 
-/// Batched committee prediction: one class per graph, each bit-identical to
-/// [`committee_predict`] on that graph alone (DESIGN.md §15).
+/// Committee prediction: one class per graph. Each class is the mean of the
+/// fold models' probabilities (f64 accumulation in model order —
+/// deterministic), blended with the class prior by `ln p + ln prior` argmax
+/// exactly like the offline pipelines' `predict_with_prior`.
 ///
 /// The whole batch runs through every fold model's fused
 /// [`PnPModel::predict_proba_batch`] forward — one tall matmul per relation
 /// per layer instead of one small matmul per graph per model. Per graph the
-/// f64 probability accumulation still happens in model order and the
-/// prior-blend argmax is byte-for-byte the single-graph loop, so batching
-/// changes the schedule, never the prediction.
+/// accumulation order and the argmax are those of the graph alone, so the
+/// class of a graph never depends on what it was batched with
+/// (DESIGN.md §15).
 pub fn committee_predict_batch(
-    models: &mut [PnPModel],
+    models: &[PnPModel],
     graphs: &[&EncodedGraph],
     prior: &[f64],
 ) -> Result<Vec<usize>, BatchError> {
     let batch = GraphBatch::from_graphs(graphs)?;
     let mut sums = vec![vec![0.0f64; prior.len()]; graphs.len()];
-    for model in models.iter_mut() {
+    for model in models {
         let probs = model.predict_proba_batch(&batch, None);
         for (sum, row) in sums.iter_mut().zip(&probs) {
             for (s, &p) in sum.iter_mut().zip(row) {
@@ -395,8 +380,9 @@ pub fn committee_predict_batch(
 /// One machine's ready-to-serve inference state: the static scenario-1 and
 /// scenario-2 fold committees restored from their cached grids, the serving
 /// tables, and the search space. This is the *single* prediction path —
-/// the daemon wraps it in replicas and a socket; the bit-identity tests
-/// call it directly.
+/// the daemon shares one per machine across its batch workers and wraps it
+/// in a socket; the bit-identity tests call it directly. Every method takes
+/// `&self`, so concurrent callers need no lock.
 pub struct TuneService {
     machine: String,
     space: SearchSpace,
@@ -410,6 +396,12 @@ pub struct TuneService {
     time_model_id: String,
     edp_model_id: String,
 }
+
+// The daemon shares one service per machine across its batch workers.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<TuneService>();
+};
 
 impl TuneService {
     /// Restores a service from the two static grids of one machine's
@@ -470,19 +462,7 @@ impl TuneService {
         &self.machine
     }
 
-    /// The machine's power levels (watts), lowest cap first.
-    pub fn power_levels(&self) -> &[f64] {
-        &self.space.power_levels
-    }
-
-    /// Number of fold models per committee, `(scenario1 per power,
-    /// scenario2)` — what `describe` reports.
-    pub fn committee_sizes(&self) -> (usize, usize) {
-        (self.time.first().map_or(0, Vec::len), self.edp.len())
-    }
-
-    /// Packages a scenario-1 class prediction for `power_idx` — one
-    /// construction path for the single and batched tuners.
+    /// Packages a scenario-1 class prediction for `power_idx`.
     fn time_prediction(&self, power_idx: usize, class: usize) -> TunePrediction {
         TunePrediction {
             class,
@@ -515,38 +495,17 @@ impl TuneService {
         Ok(())
     }
 
-    /// Predicts for an already-encoded graph.
-    pub fn tune_graph(
-        &mut self,
-        graph: &EncodedGraph,
-        objective: TuneObjective,
-    ) -> Result<TunePrediction, String> {
-        match objective {
-            TuneObjective::Time { power_idx } => {
-                self.check_power_idx(power_idx)?;
-                let class = committee_predict(
-                    &mut self.time[power_idx],
-                    graph,
-                    &self.tables.time_priors[power_idx],
-                );
-                Ok(self.time_prediction(power_idx, class))
-            }
-            TuneObjective::Edp => {
-                let class = committee_predict(&mut self.edp, graph, &self.tables.edp_prior);
-                Ok(self.edp_prediction(class))
-            }
-        }
-    }
-
     /// The full serve path for one request body: resolve the kernel to a
-    /// graph, then predict.
+    /// graph, then predict — a batch of one through
+    /// [`TuneService::tune_batch`].
     pub fn tune(
-        &mut self,
+        &self,
         kernel: &KernelInput,
         objective: TuneObjective,
     ) -> Result<TunePrediction, String> {
-        let graph = resolve_graph(kernel, &self.vocab)?;
-        self.tune_graph(&graph, objective)
+        self.tune_batch(&[(kernel, objective)])
+            .pop()
+            .unwrap_or_else(|| Err("internal: batch answered nothing".into()))
     }
 
     /// The fused serve path for a batch of request bodies: every kernel is
@@ -560,7 +519,7 @@ impl TuneService {
     /// Per-request failures — malformed kernels, out-of-range power
     /// indices — fill their own slot without failing the rest of the batch.
     pub fn tune_batch(
-        &mut self,
+        &self,
         requests: &[(&KernelInput, TuneObjective)],
     ) -> Vec<Result<TunePrediction, String>> {
         let mut slots: Vec<Option<Result<TunePrediction, String>>> =
@@ -568,48 +527,32 @@ impl TuneService {
 
         // Resolve every kernel up front; failures settle their slot now.
         // Objective key: (0, power_idx) for time, (1, 0) for EDP.
-        let mut graphs: Vec<Option<EncodedGraph>> = Vec::with_capacity(requests.len());
-        let mut groups: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
+        let mut groups: std::collections::BTreeMap<(usize, usize), Vec<(usize, EncodedGraph)>> =
             std::collections::BTreeMap::new();
         for (i, (kernel, objective)) in requests.iter().enumerate() {
-            let key = match objective {
+            let (key, valid) = match objective {
                 TuneObjective::Time { power_idx } => {
-                    if let Err(why) = self.check_power_idx(*power_idx) {
-                        slots[i] = Some(Err(why));
-                        graphs.push(None);
-                        continue;
-                    }
-                    (0, *power_idx)
+                    ((0, *power_idx), self.check_power_idx(*power_idx))
                 }
-                TuneObjective::Edp => (1, 0),
+                TuneObjective::Edp => ((1, 0), Ok(())),
             };
-            match resolve_graph(kernel, &self.vocab) {
-                Ok(graph) => {
-                    graphs.push(Some(graph));
-                    groups.entry(key).or_default().push(i);
-                }
-                Err(why) => {
-                    slots[i] = Some(Err(why));
-                    graphs.push(None);
-                }
+            match valid.and_then(|()| resolve_graph(kernel, &self.vocab)) {
+                Ok(graph) => groups.entry(key).or_default().push((i, graph)),
+                Err(why) => slots[i] = Some(Err(why)),
             }
         }
 
-        for ((objective_kind, power_idx), indices) in groups {
-            // Grouped requests all resolved a graph; pairing index and graph
-            // through one filter keeps them aligned without a panic path.
-            let (indices, group): (Vec<usize>, Vec<&EncodedGraph>) = indices
-                .iter()
-                .filter_map(|&i| graphs.get(i).and_then(|g| g.as_ref()).map(|g| (i, g)))
-                .unzip();
+        for ((objective_kind, power_idx), members) in groups {
+            let (indices, group): (Vec<usize>, Vec<&EncodedGraph>) =
+                members.iter().map(|(i, graph)| (*i, graph)).unzip();
             let classes = if objective_kind == 0 {
                 committee_predict_batch(
-                    &mut self.time[power_idx],
+                    &self.time[power_idx],
                     &group,
                     &self.tables.time_priors[power_idx],
                 )
             } else {
-                committee_predict_batch(&mut self.edp, &group, &self.tables.edp_prior)
+                committee_predict_batch(&self.edp, &group, &self.tables.edp_prior)
             };
             match classes {
                 Ok(classes) => {
@@ -731,16 +674,16 @@ mod tests {
     #[test]
     fn restored_service_predicts_deterministically_and_in_range() {
         let (ds, settings, s1, s2, store) = trained_fixture("restore");
-        let mut service =
+        let service =
             TuneService::restore(&ds, &settings, &s1, &s2, "time-model", "edp-model").unwrap();
         assert_eq!(service.machine(), "haswell");
-        let graph = &ds.regions[0].graph;
+        let graph = &KernelInput::Graph(ds.regions[0].graph.clone());
         for p in 0..ds.space.power_levels.len() {
             let a = service
-                .tune_graph(graph, TuneObjective::Time { power_idx: p })
+                .tune(graph, TuneObjective::Time { power_idx: p })
                 .unwrap();
             let b = service
-                .tune_graph(graph, TuneObjective::Time { power_idx: p })
+                .tune(graph, TuneObjective::Time { power_idx: p })
                 .unwrap();
             assert_eq!(a, b, "prediction must be deterministic");
             assert!(a.class < ds.space.configs_per_power());
@@ -748,13 +691,13 @@ mod tests {
             assert_eq!(a.model, "time-model");
             assert!(a.expected_gain.is_finite() && a.expected_gain > 0.0);
         }
-        let e = service.tune_graph(graph, TuneObjective::Edp).unwrap();
+        let e = service.tune(graph, TuneObjective::Edp).unwrap();
         assert!(e.class < ds.space.num_tuned_points());
         assert!(ds.space.power_levels.contains(&e.point.power_watts));
         assert_eq!(e.model, "edp-model");
         // Out-of-range power index is an error, not a panic.
         assert!(service
-            .tune_graph(graph, TuneObjective::Time { power_idx: 99 })
+            .tune(graph, TuneObjective::Time { power_idx: 99 })
             .is_err());
         std::fs::remove_dir_all(store.store().root()).ok();
     }
@@ -762,7 +705,7 @@ mod tests {
     #[test]
     fn source_and_graph_inputs_agree() {
         let (ds, settings, s1, s2, store) = trained_fixture("source");
-        let mut service =
+        let service =
             TuneService::restore(&ds, &settings, &s1, &s2, "time-model", "edp-model").unwrap();
         let apps = tiny_apps();
         let source = KernelInput::Source {
@@ -823,35 +766,58 @@ mod tests {
         std::fs::remove_dir_all(store.store().root()).ok();
     }
 
+    /// The committee class from the training-path forward of every fold
+    /// model — per-graph layer code that shares no body with the fused
+    /// inference forward. Served models are dropout-free
+    /// (`TrainSettings::model_config`), so it must agree to the bit.
+    fn training_path_committee(
+        models: &mut [PnPModel],
+        graph: &EncodedGraph,
+        prior: &[f64],
+    ) -> usize {
+        let mut sum = vec![0.0f64; prior.len()];
+        for model in models.iter_mut() {
+            assert_eq!(model.config.dropout, 0.0, "served models are dropout-free");
+            let probs = pnp_tensor::softmax_rows(&model.forward(graph, None, true));
+            for (s, &p) in sum.iter_mut().zip(probs.row(0)) {
+                *s += p as f64;
+            }
+        }
+        blend_with_prior(&sum, models.len().max(1) as f64, prior)
+    }
+
     #[test]
     fn batched_committee_matches_single_committee_exactly() {
         let (ds, settings, s1, s2, store) = trained_fixture("committee_batch");
         let mut service =
             TuneService::restore(&ds, &settings, &s1, &s2, "time-model", "edp-model").unwrap();
         let graphs: Vec<&EncodedGraph> = ds.regions.iter().map(|r| &r.graph).collect();
-        for p in 0..ds.space.power_levels.len() {
-            let prior = service.tables.time_priors[p].clone();
-            let batched = committee_predict_batch(&mut service.time[p], &graphs, &prior).unwrap();
-            let single: Vec<usize> = graphs
-                .iter()
-                .map(|g| committee_predict(&mut service.time[p], g, &prior))
-                .collect();
-            assert_eq!(batched, single, "power level {p}");
-        }
-        let prior = service.tables.edp_prior.clone();
-        let batched = committee_predict_batch(&mut service.edp, &graphs, &prior).unwrap();
-        let single: Vec<usize> = graphs
-            .iter()
-            .map(|g| committee_predict(&mut service.edp, g, &prior))
+        let mut committees: Vec<(&mut Vec<PnPModel>, Vec<f64>)> = service
+            .time
+            .iter_mut()
+            .zip(service.tables.time_priors.clone())
             .collect();
-        assert_eq!(batched, single);
+        committees.push((&mut service.edp, service.tables.edp_prior.clone()));
+        for (k, (models, prior)) in committees.into_iter().enumerate() {
+            let batched = committee_predict_batch(models, &graphs, &prior).unwrap();
+            let alone: Vec<usize> = graphs
+                .iter()
+                .map(|g| committee_predict_batch(models, &[g], &prior).unwrap()[0])
+                .collect();
+            assert_eq!(batched, alone, "committee {k}: batch of one");
+            let reference: Vec<usize> = graphs
+                .iter()
+                .map(|g| training_path_committee(models, g, &prior))
+                .collect();
+            assert_eq!(batched, reference, "committee {k}: training forward");
+        }
         std::fs::remove_dir_all(store.store().root()).ok();
     }
 
     #[test]
     fn tune_batch_is_bit_identical_to_tune_and_isolates_failures() {
         let (ds, settings, s1, s2, store) = trained_fixture("tune_batch");
-        let mut service =
+        let service =
             TuneService::restore(&ds, &settings, &s1, &s2, "time-model", "edp-model").unwrap();
         let num_powers = ds.space.power_levels.len();
 

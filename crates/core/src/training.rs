@@ -271,7 +271,7 @@ pub(crate) fn class_prior_scenario2(ds: &Dataset, train_idx: &[usize]) -> Vec<f6
 /// hurt the reduced validation suite — one shared weight keeps the blend
 /// predictable.)
 pub(crate) fn predict_with_prior(
-    model: &mut PnPModel,
+    model: &PnPModel,
     graph: &pnp_graph::EncodedGraph,
     dynamic: Option<&[f32]>,
     prior: &[f64],
@@ -301,11 +301,14 @@ fn prior_blend_argmax(probs: &[f32], prior: &[f64]) -> usize {
 /// prediction phases call this so a whole validation fold costs one tall
 /// matmul per relation per layer instead of one small matmul per region.
 ///
-/// If the batch cannot be assembled (a zero-node graph in the fold — not
-/// producible by the dataset builder, but a fold must degrade gracefully,
-/// never panic), it falls back to the per-graph path.
+/// # Panics
+///
+/// If the fold's graphs cannot form a batch — a zero-node graph or an edge
+/// outside its graph. `Dataset` is built only from regions that
+/// `build_region_graph` produced and `EncodedGraph::encode` encoded, which
+/// never yields either.
 pub(crate) fn predict_with_prior_batch(
-    model: &mut PnPModel,
+    model: &PnPModel,
     graphs: &[&pnp_graph::EncodedGraph],
     dynamic: Option<&[Vec<f32>]>,
     prior: &[f64],
@@ -313,18 +316,13 @@ pub(crate) fn predict_with_prior_batch(
     if graphs.is_empty() {
         return Vec::new();
     }
-    match pnp_gnn::GraphBatch::from_graphs(graphs) {
-        Ok(batch) => model
-            .predict_proba_batch(&batch, dynamic)
-            .iter()
-            .map(|probs| prior_blend_argmax(probs, prior))
-            .collect(),
-        Err(_) => graphs
-            .iter()
-            .enumerate()
-            .map(|(k, g)| predict_with_prior(model, g, dynamic.map(|d| d[k].as_slice()), prior))
-            .collect(),
-    }
+    let batch = pnp_gnn::GraphBatch::from_graphs(graphs)
+        .expect("Dataset regions are built region graphs: non-empty, edges in range");
+    model
+        .predict_proba_batch(&batch, dynamic)
+        .iter()
+        .map(|probs| prior_blend_argmax(probs, prior))
+        .collect()
 }
 
 fn scenario1_samples(
@@ -386,7 +384,7 @@ fn replay_or_train(
     threads: Threads,
     train_job: &(impl Fn(usize) -> PnPModel + Sync),
     make_model: &(impl Fn(usize) -> PnPModel + Sync),
-    predict_job: &(impl Fn(usize, &mut PnPModel) -> Vec<usize> + Sync),
+    predict_job: &(impl Fn(usize, &PnPModel) -> Vec<usize> + Sync),
 ) -> Vec<Vec<usize>> {
     let n = coords.len();
     let train_grid = || TrainedGrid {
@@ -408,9 +406,8 @@ fn replay_or_train(
         }
     }
     parallel_map_indexed(n, threads, |j| {
-        let mut model =
-            restore_or_retrain(make_model(j), &grid.weights[j], pipeline, || train_job(j));
-        predict_job(j, &mut model)
+        let model = restore_or_retrain(make_model(j), &grid.weights[j], pipeline, || train_job(j));
+        predict_job(j, &model)
     })
 }
 
@@ -523,7 +520,7 @@ pub fn train_scenario1_models_cached(
     // The whole validation fold predicts through one fused block-diagonal
     // forward — bit-identical to the per-region loop (DESIGN.md §15).
     let predict_job =
-        |power_idx: usize, train_idx: &[usize], val_idx: &[usize], model: &mut PnPModel| {
+        |power_idx: usize, train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
             let prior = class_prior_scenario1(ds, power_idx, train_idx);
             let graphs: Vec<&pnp_graph::EncodedGraph> =
                 val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
@@ -541,8 +538,8 @@ pub fn train_scenario1_models_cached(
             &jobs,
             settings.train_threads,
             |(fold_idx, power_idx, train_idx, val_idx)| {
-                let mut model = train_job(*fold_idx, *power_idx, train_idx);
-                predict_job(*power_idx, train_idx, val_idx, &mut model)
+                let model = train_job(*fold_idx, *power_idx, train_idx);
+                predict_job(*power_idx, train_idx, val_idx, &model)
             },
         ),
         Some(cache) => replay_or_train(
@@ -638,7 +635,7 @@ pub fn train_scenario2_model_cached(
     };
     // Fused fold prediction, bit-identical to the per-region loop
     // (DESIGN.md §15).
-    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &mut PnPModel| {
+    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
         let prior = class_prior_scenario2(ds, train_idx);
         let graphs: Vec<&pnp_graph::EncodedGraph> =
             val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
@@ -656,8 +653,8 @@ pub fn train_scenario2_model_cached(
             &jobs,
             settings.train_threads,
             |(fold_idx, train_idx, val_idx)| {
-                let mut model = train_job(*fold_idx, train_idx);
-                predict_job(train_idx, val_idx, &mut model)
+                let model = train_job(*fold_idx, train_idx);
+                predict_job(train_idx, val_idx, &model)
             },
         ),
         Some(cache) => replay_or_train(
@@ -750,7 +747,7 @@ pub fn train_unseen_power_cached(
         trainer.train(&mut model, &samples);
         model
     };
-    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &mut PnPModel| {
+    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
         // The prior for the unseen cap is a proximity-weighted average
         // over the caps observed during training (measurements at the
         // held-out cap are, by construction, unavailable). Inverse-
@@ -793,8 +790,8 @@ pub fn train_unseen_power_cached(
             &jobs,
             settings.train_threads,
             |(fold_idx, train_idx, val_idx)| {
-                let mut model = train_job(*fold_idx, train_idx);
-                predict_job(train_idx, val_idx, &mut model)
+                let model = train_job(*fold_idx, train_idx);
+                predict_job(train_idx, val_idx, &model)
             },
         ),
         Some(cache) => replay_or_train(

@@ -43,7 +43,10 @@
 //! matmul above starts to win. Because no edge crosses a graph boundary and
 //! the readout pools per segment, every batched output row is bit-identical
 //! to the single-graph path (DESIGN.md §15) — batching, like threading, is
-//! a scheduling decision, never a numerical one.
+//! a scheduling decision, never a numerical one. Single-graph prediction is
+//! itself a batch of one, and inference takes `&self` throughout, so one
+//! model can serve many threads; only the training forward writes the
+//! backward caches.
 
 pub mod batch;
 pub mod metrics;

@@ -4,7 +4,7 @@ use crate::model::PnPModel;
 use crate::train::TrainingSample;
 
 /// Classification accuracy of a model over a sample set.
-pub fn accuracy(model: &mut PnPModel, samples: &[TrainingSample]) -> f32 {
+pub fn accuracy(model: &PnPModel, samples: &[TrainingSample]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -18,7 +18,7 @@ pub fn accuracy(model: &mut PnPModel, samples: &[TrainingSample]) -> f32 {
 /// Top-k accuracy: the true label appears among the k highest-probability
 /// classes. The tuning evaluation cares about *near-optimal* configurations,
 /// so top-k is the more meaningful training diagnostic.
-pub fn topk_accuracy(model: &mut PnPModel, samples: &[TrainingSample], k: usize) -> f32 {
+pub fn topk_accuracy(model: &PnPModel, samples: &[TrainingSample], k: usize) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -37,10 +37,7 @@ pub fn topk_accuracy(model: &mut PnPModel, samples: &[TrainingSample], k: usize)
 
 /// Per-class prediction counts `(class, count)` sorted by class id — a quick
 /// check that the classifier is not collapsing onto a single output.
-pub fn prediction_histogram(
-    model: &mut PnPModel,
-    samples: &[TrainingSample],
-) -> Vec<(usize, usize)> {
+pub fn prediction_histogram(model: &PnPModel, samples: &[TrainingSample]) -> Vec<(usize, usize)> {
     let mut counts = std::collections::BTreeMap::new();
     for s in samples {
         *counts
@@ -88,7 +85,7 @@ mod tests {
     #[test]
     fn metrics_are_in_unit_interval_and_monotone() {
         let samples = vec![sample(0), sample(1), sample(2)];
-        let mut model = PnPModel::new(ModelConfig {
+        let model = PnPModel::new(ModelConfig {
             vocab_size: Vocabulary::standard().len(),
             hidden_dim: 8,
             num_rgcn_layers: 1,
@@ -99,20 +96,20 @@ mod tests {
             dropout: 0.0,
             seed: 1,
         });
-        let a1 = accuracy(&mut model, &samples);
-        let t1 = topk_accuracy(&mut model, &samples, 1);
-        let t4 = topk_accuracy(&mut model, &samples, 4);
+        let a1 = accuracy(&model, &samples);
+        let t1 = topk_accuracy(&model, &samples, 1);
+        let t4 = topk_accuracy(&model, &samples, 4);
         assert!((0.0..=1.0).contains(&a1));
         assert!((a1 - t1).abs() < 1e-6);
         assert_eq!(t4, 1.0);
-        let hist = prediction_histogram(&mut model, &samples);
+        let hist = prediction_histogram(&model, &samples);
         let total: usize = hist.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 3);
     }
 
     #[test]
     fn empty_sample_set_gives_zero() {
-        let mut model = PnPModel::new(ModelConfig {
+        let model = PnPModel::new(ModelConfig {
             vocab_size: 64,
             hidden_dim: 4,
             num_rgcn_layers: 1,
@@ -123,7 +120,7 @@ mod tests {
             dropout: 0.0,
             seed: 1,
         });
-        assert_eq!(accuracy(&mut model, &[]), 0.0);
-        assert_eq!(topk_accuracy(&mut model, &[], 3), 0.0);
+        assert_eq!(accuracy(&model, &[]), 0.0);
+        assert_eq!(topk_accuracy(&model, &[], 3), 0.0);
     }
 }

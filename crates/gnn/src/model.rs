@@ -50,6 +50,17 @@ impl Default for ModelConfig {
     }
 }
 
+/// A single graph as a batch of one — how every single-graph inference
+/// reaches [`PnPModel::forward_batch`].
+///
+/// # Panics
+///
+/// On an empty graph or an edge outside the graph: the model cannot pool
+/// an empty node set, and `pnp-graph` encoding never produces either.
+fn one_graph(graph: &EncodedGraph) -> GraphBatch {
+    GraphBatch::from_graphs(&[graph]).expect("cannot run the model on this graph")
+}
+
 /// The PnP tuner model.
 pub struct PnPModel {
     /// Configuration the model was built with.
@@ -62,10 +73,13 @@ pub struct PnPModel {
     dropout: Dropout,
     fc_layers: Vec<Linear>,
     fc_activations: Vec<ReLU>,
-    // caches for backward
-    cached_dyn_len: usize,
-    cached_h0_rows: usize,
 }
+
+// Inference takes `&self`, so one model may serve many threads at once.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<PnPModel>();
+};
 
 impl PnPModel {
     /// Builds a model from a configuration.
@@ -109,8 +123,6 @@ impl PnPModel {
             readout: MeanReadout::new(),
             fc_layers,
             fc_activations,
-            cached_dyn_len: 0,
-            cached_h0_rows: 0,
         }
     }
 
@@ -130,60 +142,49 @@ impl PnPModel {
     /// Forward pass over one encoded graph. `dynamic_features` must have
     /// length `config.num_dynamic_features`. Returns `(1 x num_classes)`
     /// logits.
+    ///
+    /// With `train` set this is the training forward: every layer records
+    /// its backward cache and dropout samples a mask. Without it, the graph
+    /// runs through [`PnPModel::forward_batch`] as a batch of one — the one
+    /// inference body (DESIGN.md §15).
+    ///
+    /// # Panics
+    ///
+    /// On an empty graph, an edge outside the graph, a relation count other
+    /// than `config.num_relations`, or a dynamic-feature count other than
+    /// `config.num_dynamic_features`.
     pub fn forward(
         &mut self,
         graph: &EncodedGraph,
         dynamic_features: Option<&[f32]>,
         train: bool,
     ) -> Tensor {
+        if !train {
+            return self.forward_one(graph, dynamic_features);
+        }
         assert!(
             graph.num_nodes() > 0,
             "cannot run the model on an empty graph"
         );
-        let dyn_feats = dynamic_features.unwrap_or(&[]);
-        assert_eq!(
-            dyn_feats.len(),
-            self.config.num_dynamic_features,
-            "expected {} dynamic features, got {}",
-            self.config.num_dynamic_features,
-            dyn_feats.len()
-        );
-
-        // Node features: token embedding + kind embedding.
-        let tok = self.token_embedding.lookup(&graph.tokens, train);
-        let kind = self.kind_embedding.lookup(&graph.kinds, train);
+        let tok = self.token_embedding.lookup_train(&graph.tokens);
+        let kind = self.kind_embedding.lookup_train(&graph.kinds);
         let mut h = tok.add(&kind);
-        self.cached_h0_rows = h.rows();
-
-        // RGCN stack.
         for (layer, act) in self
             .rgcn_layers
             .iter_mut()
             .zip(self.rgcn_activations.iter_mut())
         {
-            let z = layer.forward(&h, &graph.relations, train);
-            h = act.forward(&z, train);
+            h = act.forward_train(&layer.forward_train(&h, &graph.relations));
         }
+        let pooled = self.readout.forward_train(&h);
+        self.head_forward(&pooled, dynamic_features)
+    }
 
-        // Readout (+ dropout) and optional dynamic features.
-        let pooled = self.readout.forward(&h, train);
-        let pooled = self.dropout.forward(&pooled, train);
-        self.cached_dyn_len = dyn_feats.len();
-        let mut x = if dyn_feats.is_empty() {
-            pooled
-        } else {
-            let dyn_row = Tensor::from_vec(dyn_feats.to_vec(), &[1, dyn_feats.len()]);
-            pooled.concat_cols(&dyn_row)
-        };
-
-        // Dense classifier.
-        for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x, train);
-            if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x, train);
-            }
-        }
-        x
+    /// Inference forward of one graph: a batch of one through
+    /// [`PnPModel::forward_batch`].
+    fn forward_one(&self, graph: &EncodedGraph, dynamic_features: Option<&[f32]>) -> Tensor {
+        let dynamic = dynamic_features.map(|d| vec![d.to_vec()]);
+        self.forward_batch(&one_graph(graph), dynamic.as_deref())
     }
 
     /// Runs only the GNN half of the model (embeddings → RGCN stack →
@@ -196,35 +197,15 @@ impl PnPModel {
     /// mechanism behind the paper's transfer-learning speedup (§IV-B): only
     /// the dense classifier is re-trained, and the expensive graph layers run
     /// once per sample instead of once per sample per epoch.
-    pub fn pooled_features(&mut self, graph: &EncodedGraph) -> Tensor {
-        assert!(
-            graph.num_nodes() > 0,
-            "cannot run the model on an empty graph"
-        );
-        let tok = self.token_embedding.lookup(&graph.tokens, false);
-        let kind = self.kind_embedding.lookup(&graph.kinds, false);
-        let mut h = tok.add(&kind);
-        for (layer, act) in self
-            .rgcn_layers
-            .iter_mut()
-            .zip(self.rgcn_activations.iter_mut())
-        {
-            let z = layer.forward(&h, &graph.relations, false);
-            h = act.forward(&z, false);
-        }
-        self.readout.forward(&h, false)
+    pub fn pooled_features(&self, graph: &EncodedGraph) -> Tensor {
+        self.pooled_batch(&one_graph(graph))
     }
 
-    /// Forward pass of the classifier head only (dropout → dynamic-feature
-    /// concat → dense stack) over a pooled graph representation from
-    /// [`PnPModel::pooled_features`]. Mirrors the tail of
-    /// [`PnPModel::forward`] exactly.
-    pub fn head_forward(
-        &mut self,
-        pooled: &Tensor,
-        dynamic_features: Option<&[f32]>,
-        train: bool,
-    ) -> Tensor {
+    /// Training forward of the classifier head only (dropout →
+    /// dynamic-feature concat → dense stack) over a pooled graph
+    /// representation from [`PnPModel::pooled_features`]. It is the tail of
+    /// the training [`PnPModel::forward`].
+    pub fn head_forward(&mut self, pooled: &Tensor, dynamic_features: Option<&[f32]>) -> Tensor {
         let dyn_feats = dynamic_features.unwrap_or(&[]);
         assert_eq!(
             dyn_feats.len(),
@@ -233,8 +214,7 @@ impl PnPModel {
             self.config.num_dynamic_features,
             dyn_feats.len()
         );
-        let pooled = self.dropout.forward(pooled, train);
-        self.cached_dyn_len = dyn_feats.len();
+        let pooled = self.dropout.forward_train(pooled);
         let mut x = if dyn_feats.is_empty() {
             pooled
         } else {
@@ -242,9 +222,9 @@ impl PnPModel {
             pooled.concat_cols(&dyn_row)
         };
         for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x, train);
+            x = self.fc_layers[i].forward_train(&x);
             if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x, train);
+                x = self.fc_activations[i].forward_train(&x);
             }
         }
         x
@@ -253,6 +233,14 @@ impl PnPModel {
     /// Backward pass of the classifier head only: accumulates dense-layer
     /// gradients and stops at the (frozen) readout boundary.
     pub fn head_backward(&mut self, grad_logits: &Tensor) {
+        self.dense_backward(grad_logits);
+        // The gradient would continue into the dropout mask and the GNN; both
+        // are frozen in head-only training, so it stops here.
+    }
+
+    /// Backward through the dense stack; returns the gradient w.r.t. its
+    /// input (pooled features plus dynamic-feature columns).
+    fn dense_backward(&mut self, grad_logits: &Tensor) -> Tensor {
         let mut d = grad_logits.clone();
         for i in (0..self.fc_layers.len()).rev() {
             if i < self.fc_activations.len() {
@@ -260,23 +248,16 @@ impl PnPModel {
             }
             d = self.fc_layers[i].backward(&d);
         }
-        // The gradient would continue into the dropout mask and the GNN; both
-        // are frozen in head-only training, so it stops here.
+        d
     }
 
     /// Backward pass from the logits gradient; accumulates all parameter
     /// gradients.
     pub fn backward(&mut self, grad_logits: &Tensor) {
-        let mut d = grad_logits.clone();
-        for i in (0..self.fc_layers.len()).rev() {
-            if i < self.fc_activations.len() {
-                d = self.fc_activations[i].backward(&d);
-            }
-            d = self.fc_layers[i].backward(&d);
-        }
+        let d = self.dense_backward(grad_logits);
         // Split off the dynamic-feature columns (no gradient needed for them).
         let hidden = self.config.hidden_dim;
-        let d_pooled = if self.cached_dyn_len > 0 {
+        let d_pooled = if self.config.num_dynamic_features > 0 {
             let mut trimmed = Tensor::zeros(&[1, hidden]);
             trimmed.set_row(0, &d.row(0)[..hidden]);
             trimmed
@@ -298,22 +279,39 @@ impl PnPModel {
         self.kind_embedding.backward_ids(&dh);
     }
 
+    /// Embeddings → RGCN stack → per-segment readout over a block-diagonal
+    /// batch: one pooled `(1 x hidden_dim)` row per graph.
+    fn pooled_batch(&self, batch: &GraphBatch) -> Tensor {
+        // Node features for the whole batch: one concatenated lookup.
+        let tok = self.token_embedding.lookup(batch.tokens());
+        let kind = self.kind_embedding.lookup(batch.kinds());
+        let mut h = tok.add(&kind);
+        // RGCN stack over the merged block-diagonal edge lists.
+        for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
+            h = act.forward(&layer.forward(&h, batch.relations()));
+        }
+        self.readout.forward_segments(&h, batch.segments())
+    }
+
     /// Fused inference forward over a block-diagonal [`GraphBatch`]:
-    /// returns `(B x num_classes)` logits, row `i` bit-identical to
-    /// `forward(graphs[i], …, false)` (DESIGN.md §15).
+    /// returns `(B x num_classes)` logits, row `i` bit-identical to the
+    /// training-path `forward(graphs[i], …, true)` of a dropout-free model
+    /// (DESIGN.md §15). This is the only inference body: every single-graph
+    /// prediction runs it over a batch of one.
     ///
     /// The batch's merged edge lists have no cross-graph edges and the
     /// readout pools per segment, so every per-node and per-graph value is
-    /// computed by exactly the per-row/per-edge operation sequence of the
-    /// single-graph path — the batch just makes each matmul `B` times
-    /// taller, which is the regime where the row-parallel
-    /// `pnp_tensor` matmul (`PNP_MATMUL_THREADS`) pays off.
+    /// computed by exactly the per-row/per-edge operation sequence of a
+    /// graph alone — the batch just makes each matmul `B` times taller,
+    /// which is the regime where the row-parallel `pnp_tensor` matmul
+    /// (`PNP_MATMUL_THREADS`) pays off.
     ///
     /// `dynamic_features`, when present, must hold one row of
     /// `config.num_dynamic_features` values per graph, in batch order.
-    /// Inference-only: no caches are written and dropout is the identity.
+    /// Takes `&self`: no caches are written and dropout is the identity, so
+    /// one model serves any number of threads at once.
     pub fn forward_batch(
-        &mut self,
+        &self,
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Tensor {
@@ -342,25 +340,9 @@ impl PnPModel {
             ),
         }
 
-        // Node features for the whole batch: one concatenated lookup.
-        let tok = self.token_embedding.lookup(batch.tokens(), false);
-        let kind = self.kind_embedding.lookup(batch.kinds(), false);
-        let mut h = tok.add(&kind);
-
-        // RGCN stack over the merged block-diagonal edge lists.
-        for (layer, act) in self
-            .rgcn_layers
-            .iter_mut()
-            .zip(self.rgcn_activations.iter_mut())
-        {
-            let z = layer.forward(&h, batch.relations(), false);
-            h = act.forward(&z, false);
-        }
-
         // Per-segment readout (+ identity dropout) and optional dynamic
         // features, one row per graph.
-        let pooled = self.readout.forward_segments(&h, batch.segments());
-        let pooled = self.dropout.forward(&pooled, false);
+        let pooled = self.dropout.forward(&self.pooled_batch(batch));
         let mut x = match dynamic_features {
             Some(rows) if self.config.num_dynamic_features > 0 => {
                 let dyn_rows = Tensor::from_rows(rows);
@@ -371,9 +353,9 @@ impl PnPModel {
 
         // Dense classifier.
         for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x, false);
+            x = self.fc_layers[i].forward(&x);
             if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x, false);
+                x = self.fc_activations[i].forward(&x);
             }
         }
         x
@@ -401,7 +383,7 @@ impl PnPModel {
     ///     kinds: vec![0, 1],
     ///     relations: vec![vec![(1, 0)], vec![], vec![]],
     /// };
-    /// let mut model = PnPModel::new(ModelConfig {
+    /// let model = PnPModel::new(ModelConfig {
     ///     vocab_size: 8,
     ///     hidden_dim: 4,
     ///     num_rgcn_layers: 2,
@@ -419,7 +401,7 @@ impl PnPModel {
     /// assert_eq!(batched[1], model.predict_proba(&b, None));
     /// ```
     pub fn predict_proba_batch(
-        &mut self,
+        &self,
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Vec<Vec<f32>> {
@@ -430,28 +412,27 @@ impl PnPModel {
 
     /// Class probabilities for one graph (inference mode).
     pub fn predict_proba(
-        &mut self,
+        &self,
         graph: &EncodedGraph,
         dynamic_features: Option<&[f32]>,
     ) -> Vec<f32> {
-        let logits = self.forward(graph, dynamic_features, false);
+        let logits = self.forward_one(graph, dynamic_features);
         softmax_rows(&logits).row(0).to_vec()
     }
 
     /// The predicted class (argmax of the probabilities).
-    pub fn predict(&mut self, graph: &EncodedGraph, dynamic_features: Option<&[f32]>) -> usize {
-        let logits = self.forward(graph, dynamic_features, false);
-        logits.argmax_row(0)
+    pub fn predict(&self, graph: &EncodedGraph, dynamic_features: Option<&[f32]>) -> usize {
+        self.forward_one(graph, dynamic_features).argmax_row(0)
     }
 
     /// Classes ranked from most to least likely (used to pick the best
     /// *valid* configuration when some classes are masked out).
     pub fn predict_ranked(
-        &mut self,
+        &self,
         graph: &EncodedGraph,
         dynamic_features: Option<&[f32]>,
     ) -> Vec<usize> {
-        let logits = self.forward(graph, dynamic_features, false);
+        let logits = self.forward_one(graph, dynamic_features);
         let row = logits.row(0);
         let mut idx: Vec<usize> = (0..row.len()).collect();
         idx.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
@@ -656,7 +637,7 @@ mod tests {
     #[test]
     fn predict_ranked_returns_a_permutation() {
         let g = toy_graph();
-        let mut model = PnPModel::new(small_config(8, 0));
+        let model = PnPModel::new(small_config(8, 0));
         let ranked = model.predict_ranked(&g, None);
         let mut sorted = ranked.clone();
         sorted.sort_unstable();

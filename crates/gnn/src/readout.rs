@@ -32,10 +32,7 @@ impl MeanReadout {
     }
 
     /// Pools `(num_nodes x d)` node features into a `(1 x d)` graph vector.
-    pub fn forward(&mut self, h: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_num_nodes = h.rows();
-        }
+    pub fn forward(&self, h: &Tensor) -> Tensor {
         let pooled = if self.sum_pool {
             h.sum_rows()
         } else {
@@ -44,14 +41,18 @@ impl MeanReadout {
         pooled.reshape(&[1, h.cols()])
     }
 
+    /// Training forward: records the node count for
+    /// [`MeanReadout::backward`], then pools.
+    pub fn forward_train(&mut self, h: &Tensor) -> Tensor {
+        self.cached_num_nodes = h.rows();
+        self.forward(h)
+    }
+
     /// Pools a block-diagonal batch of node features into one graph vector
     /// per segment: row `i` of the `(B x d)` result is exactly what
     /// [`MeanReadout::forward`] would produce for the node rows
     /// `segments[i]..segments[i + 1]` alone, bit for bit (the segment
     /// reductions reuse the single-graph accumulation order; DESIGN.md §15).
-    ///
-    /// Inference-only: does not touch the backward cache, so it takes
-    /// `&self`.
     pub fn forward_segments(&self, h: &Tensor, segments: &[usize]) -> Tensor {
         if self.sum_pool {
             h.segment_sum_rows(segments)
@@ -86,7 +87,7 @@ mod tests {
     fn mean_readout_averages_nodes() {
         let mut r = MeanReadout::new();
         let h = Tensor::from_rows(&[vec![1.0, 3.0], vec![3.0, 5.0]]);
-        let out = r.forward(&h, true);
+        let out = r.forward_train(&h);
         assert_eq!(out.shape, vec![1, 2]);
         assert_eq!(out.data, vec![2.0, 4.0]);
     }
@@ -95,7 +96,7 @@ mod tests {
     fn sum_readout_sums_nodes() {
         let mut r = MeanReadout::sum();
         let h = Tensor::from_rows(&[vec![1.0, 3.0], vec![3.0, 5.0]]);
-        let out = r.forward(&h, true);
+        let out = r.forward_train(&h);
         assert_eq!(out.data, vec![4.0, 8.0]);
     }
 
@@ -110,7 +111,7 @@ mod tests {
         ]);
         let segments = [0usize, 2, 5];
         for sum_pool in [false, true] {
-            let mut single = if sum_pool {
+            let single = if sum_pool {
                 MeanReadout::sum()
             } else {
                 MeanReadout::new()
@@ -121,7 +122,7 @@ mod tests {
                 let rows: Vec<Vec<f32>> = (segments[i]..segments[i + 1])
                     .map(|r| h.row(r).to_vec())
                     .collect();
-                let alone = single.forward(&Tensor::from_rows(&rows), false);
+                let alone = single.forward(&Tensor::from_rows(&rows));
                 for (a, b) in batched.row(i).iter().zip(alone.row(0)) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
@@ -133,7 +134,7 @@ mod tests {
     fn backward_distributes_gradient_evenly() {
         let mut r = MeanReadout::new();
         let h = Tensor::ones(&[4, 3]);
-        let _ = r.forward(&h, true);
+        let _ = r.forward_train(&h);
         let grad = r.backward(&Tensor::from_rows(&[vec![4.0, 8.0, 12.0]]));
         assert_eq!(grad.shape, vec![4, 3]);
         assert_eq!(grad.row(0), &[1.0, 2.0, 3.0]);
@@ -144,7 +145,7 @@ mod tests {
     fn mean_then_backward_is_consistent_with_finite_difference() {
         let mut r = MeanReadout::new();
         let h = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let out = r.forward(&h, true);
+        let out = r.forward_train(&h);
         // objective = sum(readout)
         let _ = out;
         let grad = r.backward(&Tensor::ones(&[1, 2]));

@@ -92,14 +92,9 @@ impl RgcnLayer {
             .collect()
     }
 
-    /// Forward pass over node features `h` (`num_nodes x d_in`) and edges
-    /// grouped by relation.
-    pub fn forward(
-        &mut self,
-        h: &Tensor,
-        relations: &[Vec<(usize, usize)>],
-        train: bool,
-    ) -> Tensor {
+    /// Inference forward over node features `h` (`num_nodes x d_in`) and
+    /// edges grouped by relation. Writes no state.
+    pub fn forward(&self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
         assert_eq!(h.cols(), self.d_in(), "RGCN input dimension mismatch");
         assert_eq!(
             relations.len(),
@@ -108,8 +103,7 @@ impl RgcnLayer {
             self.num_relations(),
             relations.len()
         );
-        let num_nodes = h.rows();
-        let inv_deg = Self::inverse_degrees(num_nodes, relations);
+        let inv_deg = Self::inverse_degrees(h.rows(), relations);
 
         // Self-loop term plus bias.
         let mut out = h
@@ -132,13 +126,16 @@ impl RgcnLayer {
                 out.axpy_row(d, norm, messages.row(s));
             }
         }
-
-        if train {
-            self.cached_input = Some(h.clone());
-            self.cached_relations = Some(relations.to_vec());
-            self.cached_inv_deg = Some(inv_deg);
-        }
         out
+    }
+
+    /// Training forward: records the input, edges and normalization for
+    /// [`RgcnLayer::backward`], then runs [`RgcnLayer::forward`].
+    pub fn forward_train(&mut self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
+        self.cached_input = Some(h.clone());
+        self.cached_relations = Some(relations.to_vec());
+        self.cached_inv_deg = Some(Self::inverse_degrees(h.rows(), relations));
+        self.forward(h, relations)
     }
 
     /// Backward pass: accumulates parameter gradients and returns the
@@ -147,7 +144,7 @@ impl RgcnLayer {
         let h = self
             .cached_input
             .as_ref()
-            .expect("RgcnLayer::backward before forward(train=true)");
+            .expect("RgcnLayer::backward before forward_train");
         let relations = self.cached_relations.as_ref().unwrap();
         let inv_deg = self.cached_inv_deg.as_ref().unwrap();
         let num_nodes = h.rows();
@@ -200,9 +197,9 @@ mod tests {
     #[test]
     fn output_shape_is_nodes_by_dout() {
         let mut rng = SeededRng::new(1);
-        let mut layer = RgcnLayer::new("rgcn0", 6, 8, 3, &mut rng);
+        let layer = RgcnLayer::new("rgcn0", 6, 8, 3, &mut rng);
         let h = Tensor::randn(&[4, 6], &mut rng);
-        let out = layer.forward(&h, &toy_relations(), false);
+        let out = layer.forward(&h, &toy_relations());
         assert_eq!(out.shape, vec![4, 8]);
         assert!(out.all_finite());
     }
@@ -210,11 +207,11 @@ mod tests {
     #[test]
     fn isolated_node_gets_only_self_message() {
         let mut rng = SeededRng::new(2);
-        let mut layer = RgcnLayer::new("rgcn0", 3, 3, 3, &mut rng);
+        let layer = RgcnLayer::new("rgcn0", 3, 3, 3, &mut rng);
         let h = Tensor::randn(&[2, 3], &mut rng);
         // No edges at all: output must equal H·W_self + b for every node.
         let empty = vec![vec![], vec![], vec![]];
-        let out = layer.forward(&h, &empty, false);
+        let out = layer.forward(&h, &empty);
         let expected = h
             .matmul(&layer.w_self.value)
             .add_row_broadcast(&layer.bias.value);
@@ -234,7 +231,7 @@ mod tests {
         // Node 2 receives from nodes 0 and 1; normalized sum = mean of h0, h1.
         let h = Tensor::from_rows(&[vec![2.0, 0.0], vec![4.0, 0.0], vec![0.0, 0.0]]);
         let rel = vec![vec![(0, 2), (1, 2)]];
-        let out = layer.forward(&h, &rel, false);
+        let out = layer.forward(&h, &rel);
         assert!((out.get(2, 0) - 3.0).abs() < 1e-5);
     }
 
@@ -246,7 +243,7 @@ mod tests {
         let rels = toy_relations();
 
         // Objective: sum of outputs.
-        let out = layer.forward(&h, &rels, true);
+        let out = layer.forward_train(&h, &rels);
         let grad_h = layer.backward(&Tensor::ones(&out.shape));
 
         let eps = 1e-2f32;
@@ -254,9 +251,9 @@ mod tests {
         let analytic = layer.w_rel[0].grad.get(0, 0);
         let orig = layer.w_rel[0].value.get(0, 0);
         layer.w_rel[0].value.set(0, 0, orig + eps);
-        let f_plus = layer.forward(&h, &rels, false).sum();
+        let f_plus = layer.forward(&h, &rels).sum();
         layer.w_rel[0].value.set(0, 0, orig - eps);
-        let f_minus = layer.forward(&h, &rels, false).sum();
+        let f_minus = layer.forward(&h, &rels).sum();
         layer.w_rel[0].value.set(0, 0, orig);
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         assert!(
@@ -268,10 +265,10 @@ mod tests {
         let analytic_h = grad_h.get(1, 2);
         let mut hp = h.clone();
         hp.set(1, 2, hp.get(1, 2) + eps);
-        let f_plus = layer.forward(&hp, &rels, false).sum();
+        let f_plus = layer.forward(&hp, &rels).sum();
         let mut hm = h.clone();
         hm.set(1, 2, hm.get(1, 2) - eps);
-        let f_minus = layer.forward(&hm, &rels, false).sum();
+        let f_minus = layer.forward(&hm, &rels).sum();
         let numeric_h = (f_plus - f_minus) / (2.0 * eps);
         assert!(
             (numeric_h - analytic_h).abs() < 2e-2,
@@ -285,9 +282,9 @@ mod tests {
         let mut layer = RgcnLayer::new("rgcn0", 4, 4, 3, &mut rng);
         let h = Tensor::randn(&[4, 4], &mut rng);
         let rels = toy_relations();
-        let out_relational = layer.forward(&h, &rels, false);
+        let out_relational = layer.forward(&h, &rels);
         layer.relational = false;
-        let out_tied = layer.forward(&h, &rels, false);
+        let out_tied = layer.forward(&h, &rels);
         // With different per-relation weights the outputs must differ.
         let diff: f32 = out_relational
             .data

@@ -145,7 +145,7 @@ impl Trainer {
                 for &idx in &batch {
                     let s = &samples[idx];
                     let logits = if freeze {
-                        model.head_forward(&pooled[idx], s.dynamic.as_deref(), true)
+                        model.head_forward(&pooled[idx], s.dynamic.as_deref())
                     } else {
                         model.forward(&s.graph, s.dynamic.as_deref(), true)
                     };
@@ -185,11 +185,6 @@ impl Trainer {
 
         report.final_train_accuracy = crate::metrics::accuracy(model, samples);
         report
-    }
-
-    /// Accuracy of `model` on a held-out sample set.
-    pub fn evaluate(&self, model: &mut PnPModel, samples: &[TrainingSample]) -> f32 {
-        crate::metrics::accuracy(model, samples)
     }
 }
 

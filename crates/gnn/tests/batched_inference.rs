@@ -2,10 +2,14 @@
 //! (DESIGN.md §15) must reproduce the single-graph inference path exactly —
 //! for every batch size, ragged graph mix, dynamic-feature setting, and
 //! matmul thread count. Not approximately: `f32::to_bits` equal.
+//!
+//! Single-graph inference is itself a batch of one, so the tests also
+//! check every fused row against an independent reference: the
+//! training-path forward of a dropout-free twin model.
 
 use pnp_gnn::{BatchError, GraphBatch, ModelConfig, PnPModel};
 use pnp_graph::EncodedGraph;
-use pnp_tensor::set_matmul_threads;
+use pnp_tensor::{set_matmul_threads, softmax_rows};
 
 /// Deterministic ragged toy graph `i`: sizes cycle through 1..13 nodes,
 /// edge patterns differ per relation, some relations are empty.
@@ -49,6 +53,32 @@ fn config(num_dynamic: usize, seed: u64) -> ModelConfig {
     }
 }
 
+/// Class probabilities from the training-path `forward(g, dyn, true)` of a
+/// twin of `config` without dropout. The twin draws the same weights (the
+/// dropout RNG is seeded separately), and dropout-free training forwards
+/// compute what inference computes — through per-graph layer code that
+/// shares no body with the fused forward.
+fn training_reference(
+    config: ModelConfig,
+    sum_pool: bool,
+    graphs: &[EncodedGraph],
+    dynamic: Option<&[Vec<f32>]>,
+) -> Vec<Vec<f32>> {
+    let mut twin = PnPModel::new(ModelConfig {
+        dropout: 0.0,
+        ..config
+    });
+    twin.set_sum_pooling(sum_pool);
+    graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let logits = twin.forward(g, dynamic.map(|d| d[i].as_slice()), true);
+            softmax_rows(&logits).row(0).to_vec()
+        })
+        .collect()
+}
+
 fn assert_rows_bit_identical(batched: &[Vec<f32>], single: &[Vec<f32>], what: &str) {
     assert_eq!(batched.len(), single.len(), "{what}: row count");
     for (i, (b, s)) in batched.iter().zip(single).enumerate() {
@@ -65,7 +95,7 @@ fn assert_rows_bit_identical(batched: &[Vec<f32>], single: &[Vec<f32>], what: &s
 
 #[test]
 fn batched_probabilities_are_bit_identical_across_batch_sizes() {
-    let mut model = PnPModel::new(config(0, 41));
+    let model = PnPModel::new(config(0, 41));
     for batch_size in [1usize, 2, 7, 64] {
         let graphs: Vec<EncodedGraph> = (0..batch_size).map(toy_graph).collect();
         let refs: Vec<&EncodedGraph> = graphs.iter().collect();
@@ -76,12 +106,18 @@ fn batched_probabilities_are_bit_identical_across_batch_sizes() {
             .map(|g| model.predict_proba(g, None))
             .collect();
         assert_rows_bit_identical(&batched, &single, &format!("batch size {batch_size}"));
+        let reference = training_reference(config(0, 41), false, &graphs, None);
+        assert_rows_bit_identical(
+            &batched,
+            &reference,
+            &format!("batch size {batch_size} vs training forward"),
+        );
     }
 }
 
 #[test]
 fn dynamic_features_stay_bit_identical_per_graph() {
-    let mut model = PnPModel::new(config(5, 42));
+    let model = PnPModel::new(config(5, 42));
     let graphs: Vec<EncodedGraph> = (0..7).map(toy_graph).collect();
     let refs: Vec<&EncodedGraph> = graphs.iter().collect();
     let dynamic: Vec<Vec<f32>> = (0..7)
@@ -95,6 +131,8 @@ fn dynamic_features_stay_bit_identical_per_graph() {
         .map(|(g, d)| model.predict_proba(g, Some(d)))
         .collect();
     assert_rows_bit_identical(&batched, &single, "dynamic features");
+    let reference = training_reference(config(5, 42), false, &graphs, Some(&dynamic));
+    assert_rows_bit_identical(&batched, &reference, "dynamic features vs training forward");
 }
 
 #[test]
@@ -110,6 +148,8 @@ fn sum_pooling_ablation_is_also_bit_identical() {
         .map(|g| model.predict_proba(g, None))
         .collect();
     assert_rows_bit_identical(&batched, &single, "sum pooling");
+    let reference = training_reference(config(0, 43), true, &graphs, None);
+    assert_rows_bit_identical(&batched, &reference, "sum pooling vs training forward");
 }
 
 #[test]
@@ -124,7 +164,7 @@ fn matmul_thread_count_never_changes_batched_output() {
         "batch must be tall enough to exercise the parallel matmul"
     );
 
-    let mut model = PnPModel::new(config(0, 44));
+    let model = PnPModel::new(config(0, 44));
     set_matmul_threads(1);
     let serial = model.predict_proba_batch(&batch, None);
     for threads in [2usize, 4, 8] {

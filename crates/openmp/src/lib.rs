@@ -28,7 +28,7 @@ pub mod schedule;
 pub mod sim;
 
 pub use config::{default_config, OmpConfig, Schedule};
-pub use par::{parallel_map, parallel_map_indexed, parallel_map_with_state, Threads};
+pub use par::{parallel_map, parallel_map_indexed, Threads};
 pub use pool::ThreadPool;
 pub use profile::{AccessPattern, ImbalanceShape, RegionProfile};
 pub use sim::{simulate_region, simulate_region_with_model, ExecutionResult};

@@ -151,55 +151,6 @@ where
     parallel_map_indexed(items.len(), threads, |i| f(&items[i]))
 }
 
-/// Maps `f(item, &mut state)` over a slice in parallel, where each in-flight
-/// item needs *exclusive* access to one of a fixed set of mutable states
-/// (model replicas, scratch buffers). This is the batching primitive behind
-/// `pnp-serve`: a request batch fans out over the worker pool and each
-/// worker checks out whichever replica is free.
-///
-/// Replica acquisition starts at `i % states.len()` and `try_lock`s forward
-/// so workers spread across replicas instead of convoying on the first; if
-/// every replica is busy the worker blocks on its starting slot. The output
-/// is order-preserving like [`parallel_map`], and when all states are
-/// *equivalent* (same replica contents) and `f` is pure-given-state, the
-/// result is bit-identical for every worker count — the 1-worker path
-/// degenerates to a serial loop using only `states[i % len]`.
-///
-/// Panics if `states` is empty.
-pub fn parallel_map_with_state<T, S, U, F>(
-    items: &[T],
-    threads: Threads,
-    states: &[std::sync::Mutex<S>],
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    S: Send,
-    U: Send + Sync,
-    F: Fn(&T, &mut S) -> U + Sync,
-{
-    assert!(
-        !states.is_empty(),
-        "parallel_map_with_state needs at least one state"
-    );
-    parallel_map_indexed(items.len(), threads, |i| {
-        let start = i % states.len();
-        let mut guard = None;
-        for offset in 0..states.len() {
-            if let Ok(g) = states[(start + offset) % states.len()].try_lock() {
-                guard = Some(g);
-                break;
-            }
-        }
-        let mut guard = guard.unwrap_or_else(|| {
-            states[start]
-                .lock()
-                .expect("replica state poisoned by a panicking worker")
-        });
-        f(&items[i], &mut guard)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,60 +229,6 @@ mod tests {
         assert_eq!(Threads::Fixed(0).resolve(), 1);
         assert!(Threads::Auto.resolve() >= 1);
         assert_eq!(Threads::default(), Threads::Auto);
-    }
-
-    #[test]
-    fn stateful_map_is_bit_identical_across_worker_and_replica_counts() {
-        // Equivalent replica states + pure-given-state f ⇒ the output must
-        // match the serial path bitwise, whatever the (workers, replicas)
-        // shape — the contract pnp-serve's batching relies on.
-        let items: Vec<usize> = (0..123).collect();
-        let f = |i: &usize, scale: &mut f64| ((*i as f64) * *scale).sin().to_bits();
-        let serial: Vec<u64> = {
-            let states = [Mutex::new(0.1f64)];
-            parallel_map_with_state(&items, Threads::Fixed(1), &states, f)
-        };
-        for workers in [1usize, 2, 4, 8] {
-            for replicas in [1usize, 2, 3, 8] {
-                let states: Vec<Mutex<f64>> = (0..replicas).map(|_| Mutex::new(0.1)).collect();
-                let got = parallel_map_with_state(&items, Threads::Fixed(workers), &states, f);
-                assert_eq!(got, serial, "workers={workers} replicas={replicas}");
-            }
-        }
-    }
-
-    #[test]
-    fn stateful_map_gives_each_item_exclusive_state_access() {
-        // Every worker mutates its checked-out state; exclusivity means the
-        // total increment count across replicas equals the item count even
-        // with fewer replicas than workers.
-        let items: Vec<usize> = (0..200).collect();
-        let states: Vec<Mutex<u64>> = (0..3).map(|_| Mutex::new(0)).collect();
-        let out = parallel_map_with_state(&items, Threads::Fixed(8), &states, |i, count| {
-            *count += 1;
-            std::thread::sleep(std::time::Duration::from_micros(20));
-            *i
-        });
-        assert_eq!(out, items);
-        let total: u64 = states.iter().map(|s| *s.lock().unwrap()).sum();
-        assert_eq!(total, items.len() as u64);
-    }
-
-    #[test]
-    fn stateful_map_handles_empty_input_and_single_replica() {
-        let states = [Mutex::new(())];
-        let empty: Vec<i32> =
-            parallel_map_with_state(&[] as &[i32], Threads::Fixed(4), &states, |x, _| *x);
-        assert!(empty.is_empty());
-        let one = parallel_map_with_state(&[7], Threads::Fixed(4), &states, |x, _| x + 1);
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one state")]
-    fn stateful_map_rejects_zero_replicas() {
-        let states: Vec<Mutex<u8>> = Vec::new();
-        parallel_map_with_state(&[1, 2, 3], Threads::Fixed(2), &states, |x, _| *x);
     }
 
     #[test]

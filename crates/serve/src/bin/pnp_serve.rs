@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! pnp_serve --store DIR [--addr 127.0.0.1:0] [--port-file PATH]
-//!           [--replicas N] [--workers N] [--max-batch N] [--max-queue N]
+//!           [--workers N] [--max-batch N] [--max-queue N]
 //!           [--reload-poll-ms MS] [--stdio]
 //! ```
 //!
@@ -58,7 +58,6 @@ fn main() {
     eprintln!("[pnp-serve] store: {}", store.root().display());
 
     let config = EngineConfig {
-        replicas: usize_flag(&args, "--replicas", 0),
         workers: usize_flag(&args, "--workers", 0),
     };
     let max_batch = usize_flag(&args, "--max-batch", DEFAULT_MAX_BATCH).max(1);

@@ -4,24 +4,23 @@
 //! At startup the engine walks the [`ModelRegistry`], loads every machine's
 //! dataset once, restores **every** model grid in the store (fit-checking
 //! each — an unfit or corrupt checkpoint is skipped with a log line, never
-//! misapplied), and builds a pool of [`TuneService`] replicas per machine.
-//! Requests are then served by [`ServeEngine::tune_batch`]: the batch is
-//! partitioned by machine, each machine's requests are grouped by objective,
-//! and the groups fan out over the in-tree `pnp_openmp` pool via
-//! `parallel_map_with_state`, each worker checking out whichever replica is
-//! free and running its whole group as one fused block-diagonal forward
-//! ([`TuneService::tune_batch`], DESIGN.md §15) — one tall matmul per
-//! relation per layer instead of one small matmul per request. All replicas
-//! are restored from the same grids and the fused forward is bit-identical
-//! to the single-graph one, so the response vector is bit-identical for
-//! every worker/replica count and batch composition — and identical to the
-//! offline [`TuneService::tune`] path (DESIGN.md §14).
+//! misapplied), and restores one [`TuneService`] per machine. Requests are
+//! then served by [`ServeEngine::tune_batch`]: the batch is grouped by
+//! machine and objective, and the groups fan out over the in-tree
+//! `pnp_openmp` pool via `parallel_map`, each group running as one fused
+//! block-diagonal forward ([`TuneService::tune_batch`], DESIGN.md §15) —
+//! one tall matmul per relation per layer instead of one small matmul per
+//! request. Inference takes `&self`, so every worker reads the same shared
+//! service without a lock, and the fused forward is bit-identical to the
+//! single-graph one: the response vector is bit-identical for every worker
+//! count and batch composition — and identical to the offline
+//! [`TuneService::tune`] path (DESIGN.md §14).
 //!
-//! The registry and replica pools are one atomically swappable snapshot:
-//! [`ServeEngine::reload`] rebuilds them *off* the serving path from a
-//! fresh registry and swaps the snapshot in one write-lock critical
-//! section, so in-flight batches finish on the pools they started with and
-//! new batches see the new grids — no restart, no dropped request
+//! The registry and services are one atomically swappable snapshot behind
+//! one `Arc`: [`ServeEngine::reload`] rebuilds it *off* the serving path
+//! from a fresh registry and swaps the `Arc` in one write-lock critical
+//! section, so in-flight batches finish on the snapshot they started with
+//! and new batches see the new grids — no restart, no dropped request
 //! (DESIGN.md §17). [`ServeEngine::spawn_reload_watcher`] automates this by
 //! polling the store's index generation ([`pnp_store::StoreIndex`]).
 
@@ -29,11 +28,11 @@ use pnp_core::registry::{ModelDescriptor, ModelRegistry};
 use pnp_core::serving::{
     restore_grid, GridPipeline, KernelInput, TuneObjective, TuneRequest, TuneResponse, TuneService,
 };
-use pnp_openmp::{parallel_map_with_state, Threads};
+use pnp_openmp::{parallel_map, Threads};
 use pnp_store::{Store, StoreIndex};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
@@ -42,9 +41,6 @@ use crate::protocol::{ServeStats, PROTOCOL_VERSION};
 /// Startup knobs of the engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// [`TuneService`] replicas per machine; 0 means one per available
-    /// core. More replicas let more batch workers predict concurrently.
-    pub replicas: usize,
     /// Initial batch worker count; 0 means one per available core.
     /// Adjustable at runtime via the `SetWorkers` request.
     pub workers: usize,
@@ -70,23 +66,26 @@ impl StartupReport {
     }
 }
 
-/// One machine's checkout pool of interchangeable service replicas.
-type ReplicaPools = BTreeMap<String, Vec<Mutex<TuneService>>>;
-
 /// The swappable snapshot: everything that changes together on a reload.
-/// Batches clone the `pools` Arc once at entry, so a swap mid-batch is
-/// invisible to that batch (DESIGN.md §17).
-struct LiveState {
+/// Batches clone its `Arc` once at entry, so a swap mid-batch is invisible
+/// to that batch (DESIGN.md §17).
+struct Snapshot {
     registry: Arc<ModelRegistry>,
-    pools: Arc<ReplicaPools>,
+    /// One shared service per served machine.
+    services: BTreeMap<String, TuneService>,
     generation: String,
 }
 
-/// The daemon's shared state: the swappable registry + replica-pool
-/// snapshot, plus the serving and degradation counters.
+impl Snapshot {
+    fn machines(&self) -> Vec<String> {
+        self.services.keys().cloned().collect()
+    }
+}
+
+/// The daemon's shared state: the swappable registry + services snapshot,
+/// plus the serving and degradation counters.
 pub struct ServeEngine {
-    live: RwLock<LiveState>,
-    replicas: usize,
+    live: RwLock<Arc<Snapshot>>,
     workers: AtomicUsize,
     requests: AtomicU64,
     batches: AtomicU64,
@@ -116,14 +115,13 @@ fn grid_pipeline(model: &ModelDescriptor) -> GridPipeline {
     }
 }
 
-/// Restores and fit-checks every grid in `registry`, then builds the
-/// per-machine replica pools — the shared body of cold start and reload.
-fn build_pools(
+/// Restores and fit-checks every grid in `registry`, then restores one
+/// service per machine — the shared body of cold start and reload.
+fn build_services(
     registry: &ModelRegistry,
-    replicas: usize,
     report: &mut StartupReport,
-) -> ReplicaPools {
-    let mut machines: ReplicaPools = BTreeMap::new();
+) -> BTreeMap<String, TuneService> {
+    let mut machines = BTreeMap::new();
 
     for dataset in registry.datasets() {
         let Some(ds) = registry.load_dataset(dataset) else {
@@ -203,51 +201,38 @@ fn build_pools(
             ));
             continue;
         };
-        let mut pool = Vec::with_capacity(replicas);
-        for _ in 0..replicas {
-            match TuneService::restore(&ds, &settings, &grid1, &grid2, &s1.id, &s2.id) {
-                Ok(service) => pool.push(Mutex::new(service)),
-                Err(why) => {
-                    report.log(format!(
-                        "machine {}: replica restore failed: {why}",
-                        dataset.machine
-                    ));
-                    break;
-                }
+        match TuneService::restore(&ds, &settings, &grid1, &grid2, &s1.id, &s2.id) {
+            Ok(service) => {
+                report.log(format!(
+                    "machine {}: serving (time={}, edp={})",
+                    dataset.machine, s1.id, s2.id
+                ));
+                machines.insert(dataset.machine.clone(), service);
             }
-        }
-        if pool.len() == replicas {
-            report.log(format!(
-                "machine {}: serving with {} replica(s) (time={}, edp={})",
-                dataset.machine, replicas, s1.id, s2.id
-            ));
-            machines.insert(dataset.machine.clone(), pool);
+            Err(why) => report.log(format!(
+                "machine {}: service restore failed: {why}",
+                dataset.machine
+            )),
         }
     }
     machines
 }
 
 impl ServeEngine {
-    /// Cold start: restore every grid in the registry, then build the
-    /// replica pools. Serving zero machines is a valid (if useless) state —
-    /// the daemon binary refuses it, the tests exercise it.
+    /// Cold start: restore every grid in the registry, then one service per
+    /// machine. Serving zero machines is a valid (if useless) state — the
+    /// daemon binary refuses it, the tests exercise it.
     pub fn start(registry: ModelRegistry, config: &EngineConfig) -> (ServeEngine, StartupReport) {
         let mut report = StartupReport::default();
-        let replicas = if config.replicas == 0 {
-            Threads::Auto.resolve()
-        } else {
-            config.replicas
-        };
-        let pools = build_pools(&registry, replicas, &mut report);
+        let services = build_services(&registry, &mut report);
         let generation = registry.generation().to_string();
 
         let engine = ServeEngine {
-            live: RwLock::new(LiveState {
+            live: RwLock::new(Arc::new(Snapshot {
                 registry: Arc::new(registry),
-                pools: Arc::new(pools),
+                services,
                 generation,
-            }),
-            replicas,
+            })),
             workers: AtomicUsize::new(config.workers),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -265,17 +250,21 @@ impl ServeEngine {
         (engine, report)
     }
 
-    fn live(&self) -> std::sync::RwLockReadGuard<'_, LiveState> {
-        self.live.read().unwrap_or_else(PoisonError::into_inner)
+    /// The current snapshot.
+    fn live(&self) -> Arc<Snapshot> {
+        self.live
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// Machines with a ready replica pool (in the current snapshot).
+    /// Machines with a ready service (in the current snapshot).
     pub fn machines(&self) -> Vec<String> {
-        self.live().pools.keys().cloned().collect()
+        self.live().machines()
     }
 
     /// The registry behind the current snapshot (`List`/`Describe` answer
-    /// from this; a reload swaps it together with the pools).
+    /// from this; a reload swaps it together with the services).
     pub fn registry(&self) -> Arc<ModelRegistry> {
         self.live().registry.clone()
     }
@@ -326,92 +315,78 @@ impl ServeEngine {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Serves one batch: requests are partitioned by machine, each
-    /// machine's slice is grouped by objective, and the groups fan out over
-    /// the worker pool with replica checkout — each group running as one
-    /// fused block-diagonal forward ([`TuneService::tune_batch`],
-    /// DESIGN.md §15). Responses come back in request order, bit-identical
-    /// to serving each request alone. Unknown machines get error responses;
-    /// nothing panics on client input. The replica-pool snapshot is taken
-    /// once at entry, so a concurrent reload never splits a batch across
-    /// two model generations (DESIGN.md §17).
+    /// Serves one batch: requests are grouped by machine and objective, and
+    /// the groups fan out over the worker pool — each group running as one
+    /// fused block-diagonal forward on its machine's shared service
+    /// ([`TuneService::tune_batch`], DESIGN.md §15). Responses come back in
+    /// request order, bit-identical to serving each request alone. Unknown
+    /// machines get error responses; nothing panics on client input. The
+    /// snapshot is taken once at entry, so a concurrent reload never splits
+    /// a batch across two model generations (DESIGN.md §17).
     pub fn tune_batch(&self, requests: &[TuneRequest]) -> Vec<TuneResponse> {
+        self.tune_batch_on(&self.live(), requests)
+    }
+
+    /// [`ServeEngine::tune_batch`] on an explicit snapshot: every answer,
+    /// error messages included, comes from `live` alone.
+    fn tune_batch_on(&self, live: &Snapshot, requests: &[TuneRequest]) -> Vec<TuneResponse> {
         self.requests
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.max_batch_seen
             .fetch_max(requests.len() as u64, Ordering::Relaxed);
-        let threads = self.batch_threads();
-        let pools = self.live().pools.clone();
 
+        // Group by (machine, objective): requests sharing a committee fuse
+        // into one block-diagonal forward. Objective keys are
+        // `(0, power_idx)` for time and `(1, 0)` for EDP — BTreeMap order
+        // keeps dispatch deterministic.
         let mut settled: BTreeMap<usize, TuneResponse> = BTreeMap::new();
-        let mut by_machine: BTreeMap<&str, Vec<(usize, &TuneRequest)>> = BTreeMap::new();
+        type Group<'a> = (&'a TuneService, Vec<(usize, &'a TuneRequest)>);
+        let mut groups: BTreeMap<(&str, usize, usize), Group<'_>> = BTreeMap::new();
         for (i, request) in requests.iter().enumerate() {
-            match pools.contains_key(&request.machine) {
-                true => by_machine
-                    .entry(request.machine.as_str())
-                    .or_default()
-                    .push((i, request)),
-                false => {
-                    settled.insert(
-                        i,
-                        TuneResponse::err(
-                            request.id,
-                            format!(
-                                "unknown machine {:?} (serving: {:?})",
-                                request.machine,
-                                self.machines().join(", ")
-                            ),
-                        ),
-                    );
-                }
-            }
-        }
-        for (machine, entries) in by_machine {
-            let Some(pool) = pools.get(machine) else {
-                // Unreachable (partitioned on the same snapshot above), but
-                // an unsettled slot degrades to a typed error, never a
-                // panic.
+            let Some(service) = live.services.get(&request.machine) else {
+                let message = format!(
+                    "unknown machine {:?} (serving: {:?})",
+                    request.machine,
+                    live.machines().join(", ")
+                );
+                settled.insert(i, TuneResponse::err(request.id, message));
                 continue;
             };
-            // Group by objective: requests sharing a committee fuse into one
-            // block-diagonal forward. Keys are `(0, power_idx)` for time and
-            // `(1, 0)` for EDP — BTreeMap order keeps dispatch deterministic.
-            let mut by_objective: BTreeMap<(usize, usize), Vec<(usize, &TuneRequest)>> =
-                BTreeMap::new();
-            for (i, request) in entries {
-                let key = match request.objective {
-                    TuneObjective::Time { power_idx } => (0, power_idx),
-                    TuneObjective::Edp => (1, 0),
-                };
-                by_objective.entry(key).or_default().push((i, request));
-            }
-            let groups: Vec<Vec<(usize, &TuneRequest)>> = by_objective.into_values().collect();
-            for group in &groups {
-                self.fused_batches.fetch_add(1, Ordering::Relaxed);
-                self.fused_graphs
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
-                self.max_fused_batch
-                    .fetch_max(group.len() as u64, Ordering::Relaxed);
-            }
-            let group_results =
-                parallel_map_with_state(&groups, threads, pool, |group, service| {
-                    let bodies: Vec<(&KernelInput, TuneObjective)> = group
-                        .iter()
-                        .map(|(_, request)| (&request.kernel, request.objective))
-                        .collect();
-                    service.tune_batch(&bodies)
-                });
-            for (group, results) in groups.iter().zip(group_results) {
-                for ((i, request), result) in group.iter().zip(results) {
-                    settled.insert(
-                        *i,
-                        match result {
-                            Ok(prediction) => TuneResponse::ok(request.id, prediction),
-                            Err(why) => TuneResponse::err(request.id, why),
-                        },
-                    );
-                }
+            let (kind, power_idx) = match request.objective {
+                TuneObjective::Time { power_idx } => (0, power_idx),
+                TuneObjective::Edp => (1, 0),
+            };
+            groups
+                .entry((request.machine.as_str(), kind, power_idx))
+                .or_insert_with(|| (service, Vec::new()))
+                .1
+                .push((i, request));
+        }
+        let groups: Vec<Group<'_>> = groups.into_values().collect();
+        for (_, group) in &groups {
+            self.fused_batches.fetch_add(1, Ordering::Relaxed);
+            self.fused_graphs
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            self.max_fused_batch
+                .fetch_max(group.len() as u64, Ordering::Relaxed);
+        }
+        let group_results = parallel_map(&groups, self.batch_threads(), |(service, group)| {
+            let bodies: Vec<(&KernelInput, TuneObjective)> = group
+                .iter()
+                .map(|(_, request)| (&request.kernel, request.objective))
+                .collect();
+            service.tune_batch(&bodies)
+        });
+        for ((_, group), results) in groups.iter().zip(group_results) {
+            for ((i, request), result) in group.iter().zip(results) {
+                settled.insert(
+                    *i,
+                    match result {
+                        Ok(prediction) => TuneResponse::ok(request.id, prediction),
+                        Err(why) => TuneResponse::err(request.id, why),
+                    },
+                );
             }
         }
         requests
@@ -435,20 +410,19 @@ impl ServeEngine {
     }
 
     /// Hot model reload (DESIGN.md §17): restores and fit-checks every grid
-    /// of `registry` *off* the serving path, then swaps the
-    /// registry + pools + generation snapshot in one critical section.
-    /// Batches already running keep the pool Arc they cloned at entry and
-    /// finish undisturbed; the next batch serves the new grids.
+    /// of `registry` *off* the serving path, then swaps the snapshot `Arc`
+    /// (registry + services + generation) in one critical section. Batches
+    /// already running keep the `Arc` they cloned at entry and finish
+    /// undisturbed; the next batch serves the new grids.
     pub fn reload(&self, registry: ModelRegistry) -> StartupReport {
         let mut report = StartupReport::default();
-        let pools = build_pools(&registry, self.replicas, &mut report);
+        let services = build_services(&registry, &mut report);
         let generation = registry.generation().to_string();
-        {
-            let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-            live.registry = Arc::new(registry);
-            live.pools = Arc::new(pools);
-            live.generation = generation;
-        }
+        *self.live.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(Snapshot {
+            registry: Arc::new(registry),
+            services,
+            generation,
+        });
         self.grids_loaded
             .store(report.grids_loaded, Ordering::Relaxed);
         self.grids_skipped
@@ -528,5 +502,96 @@ impl ServeEngine {
             reloads: self.reloads.load(Ordering::Relaxed),
             protocol: PROTOCOL_VERSION,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pnp_benchmarks::builders::{matmul_kernel, small_boundary_kernel, streaming_kernel};
+    use pnp_benchmarks::Application;
+    use pnp_core::artifact::ArtifactStore;
+    use pnp_core::training::{
+        train_scenario1_models_cached, train_scenario2_model_cached, TrainSettings,
+    };
+    use pnp_graph::Vocabulary;
+
+    /// A store holding both static haswell grids, trained at toy size.
+    fn trained_store(dir: &std::path::Path) -> pnp_core::Dataset {
+        let _ = std::fs::remove_dir_all(dir);
+        let store = ArtifactStore::open(dir);
+        let apps = vec![
+            Application::new("a1", vec![matmul_kernel("a1_r0", 120, 120, 120)]),
+            Application::new("a2", vec![streaming_kernel("a2_r0", 80_000, 2, 1.0)]),
+            Application::new("a3", vec![small_boundary_kernel("a3_r0", 700, 2)]),
+        ];
+        let settings = TrainSettings {
+            epochs: 2,
+            hidden_dim: 8,
+            rgcn_layers: 1,
+            fc_hidden: 16,
+            folds: 3,
+            train_threads: Threads::Fixed(1),
+            ..TrainSettings::quick()
+        };
+        let ds = store.load_or_build_dataset(
+            &pnp_machine::haswell(),
+            &apps,
+            &Vocabulary::standard(),
+            Threads::Fixed(1),
+        );
+        let cache = store.for_dataset(&ds);
+        train_scenario1_models_cached(&ds, &settings, false, Some(&cache));
+        train_scenario2_model_cached(&ds, &settings, false, Some(&cache));
+        ds
+    }
+
+    #[test]
+    fn unknown_machine_errors_come_from_the_batch_snapshot() {
+        let tmp = std::env::temp_dir();
+        let trained = tmp.join(format!("pnp_engine_unknown_{}", std::process::id()));
+        let empty = tmp.join(format!("pnp_engine_empty_{}", std::process::id()));
+        let ds = trained_store(&trained);
+        let _ = std::fs::remove_dir_all(&empty);
+        std::fs::create_dir_all(&empty).expect("mkdir empty store");
+
+        let (engine, _) = ServeEngine::start(
+            ModelRegistry::open(Store::open(&trained)),
+            &EngineConfig { workers: 1 },
+        );
+        assert_eq!(engine.machines(), vec!["haswell".to_string()]);
+        let request = |id: u64, machine: &str| TuneRequest {
+            id,
+            machine: machine.into(),
+            objective: TuneObjective::Edp,
+            kernel: KernelInput::Graph(ds.regions[0].graph.clone()),
+            deadline_ms: None,
+        };
+        let batch = [request(1, "riscv"), request(2, "haswell")];
+
+        // A batch admitted on the haswell generation, then a reload onto a
+        // store that serves nothing before the batch answers.
+        let admitted = engine.live();
+        engine.reload(ModelRegistry::open(Store::open(&empty)));
+        assert!(engine.machines().is_empty());
+        let answers = engine.tune_batch_on(&admitted, &batch);
+        assert_eq!(
+            answers[0].error.as_deref(),
+            Some(r#"unknown machine "riscv" (serving: "haswell")"#),
+            "the error must list the generation the batch was admitted on"
+        );
+        assert!(answers[1].prediction.is_some(), "{:?}", answers[1].error);
+
+        // A batch admitted after the reload sees only the new generation.
+        let answers = engine.tune_batch(&batch);
+        for answer in &answers {
+            let machine = if answer.id == 1 { "riscv" } else { "haswell" };
+            assert_eq!(
+                answer.error.as_deref(),
+                Some(format!(r#"unknown machine "{machine}" (serving: "")"#).as_str())
+            );
+        }
+        let _ = std::fs::remove_dir_all(&trained);
+        let _ = std::fs::remove_dir_all(&empty);
     }
 }

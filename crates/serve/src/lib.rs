@@ -3,7 +3,7 @@
 //! Tuning-as-a-service on top of the model registry (ISSUE 7, SERVING.md):
 //!
 //! * [`engine`] — registry-driven cold start (load + fit-check every cached
-//!   grid, build [`pnp_core::TuneService`] replica pools per machine) and
+//!   grid, restore one shared [`pnp_core::TuneService`] per machine) and
 //!   batched inference over the in-tree `pnp_openmp` thread pool.
 //! * [`protocol`] — the length-prefixed JSON wire protocol: frame I/O plus
 //!   the [`protocol::Request`]/[`protocol::Response`] envelopes around

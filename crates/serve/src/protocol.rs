@@ -202,8 +202,9 @@ pub struct ServeStats {
     /// requests for the same machine and objective run as one
     /// block-diagonal forward per fold model (DESIGN.md §15).
     pub fused_batches: u64,
-    /// Tune requests carried by fused groups (every request that reached a
-    /// replica, including ones that failed kernel resolution in-slot).
+    /// Tune requests carried by fused groups (every request that reached
+    /// its machine's service, including ones that failed kernel resolution
+    /// in-slot).
     pub fused_graphs: u64,
     /// Largest fused group — the most graphs one block-diagonal forward
     /// has carried.

@@ -145,7 +145,15 @@ fn workload(ds: &Dataset) -> Vec<TuneRequest> {
 /// The offline reference: predictions straight from `TuneService`, no
 /// registry, no socket, no batching.
 fn offline_predictions(fx: &Fixture, requests: &[TuneRequest]) -> Vec<TunePrediction> {
-    let mut service = TuneService::restore(
+    let service = offline_service(fx);
+    requests
+        .iter()
+        .map(|r| service.tune(&r.kernel, r.objective).expect("offline tune"))
+        .collect()
+}
+
+fn offline_service(fx: &Fixture) -> TuneService {
+    TuneService::restore(
         &fx.ds,
         &fx.settings,
         &fx.s1,
@@ -153,17 +161,25 @@ fn offline_predictions(fx: &Fixture, requests: &[TuneRequest]) -> Vec<TunePredic
         "time-model",
         "edp-model",
     )
-    .expect("offline service restores");
-    requests
-        .iter()
-        .map(|r| service.tune(&r.kernel, r.objective).expect("offline tune"))
-        .collect()
+    .expect("offline service restores")
 }
 
-fn start_engine(replicas: usize, workers: usize) -> Arc<ServeEngine> {
+/// `a == b` down to the bits of the expected gain. Registry model ids differ
+/// from the offline labels, so only class, point and gain are compared.
+fn assert_same_prediction(got: &TunePrediction, expected: &TunePrediction, what: &str) {
+    assert_eq!(got.class, expected.class, "{what}");
+    assert_eq!(got.point, expected.point, "{what}");
+    assert_eq!(
+        got.expected_gain.to_bits(),
+        expected.expected_gain.to_bits(),
+        "{what}"
+    );
+}
+
+fn start_engine(workers: usize) -> Arc<ServeEngine> {
     let fx = fixture();
     let registry = ModelRegistry::open(Store::open(&fx.dir));
-    let (engine, report) = ServeEngine::start(registry, &EngineConfig { replicas, workers });
+    let (engine, report) = ServeEngine::start(registry, &EngineConfig { workers });
     // The cold start must have restored every grid in the store.
     assert_eq!(report.grids_loaded, 2, "{:?}", report.lines);
     assert_eq!(report.grids_skipped, 0, "{:?}", report.lines);
@@ -190,7 +206,7 @@ fn served_predictions_are_bit_identical_to_the_offline_path() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(2);
     let addr = spawn_server(engine, roomy_config(16));
     let mut client = Client::connect(addr).expect("connect");
     for (request, expected) in requests.iter().zip(&offline) {
@@ -204,17 +220,7 @@ fn served_predictions_are_bit_identical_to_the_offline_path() {
         let got = tune
             .prediction
             .unwrap_or_else(|| panic!("request {} failed: {:?}", request.id, tune.error));
-        // Registry model ids differ from the offline labels; the predicted
-        // class, configuration point, and expected gain must be identical
-        // to the bit.
-        assert_eq!(got.class, expected.class, "request {}", request.id);
-        assert_eq!(got.point, expected.point, "request {}", request.id);
-        assert_eq!(
-            got.expected_gain.to_bits(),
-            expected.expected_gain.to_bits(),
-            "request {}",
-            request.id
-        );
+        assert_same_prediction(&got, expected, &format!("request {}", request.id));
     }
     let _ = client.request(&Request::Shutdown);
 }
@@ -223,7 +229,7 @@ fn served_predictions_are_bit_identical_to_the_offline_path() {
 fn batched_and_single_paths_agree_for_every_worker_count() {
     let fx = fixture();
     let requests = workload(&fx.ds);
-    let engine = start_engine(3, 1);
+    let engine = start_engine(1);
     let singles: Vec<_> = requests.iter().map(|r| engine.tune(r)).collect();
     for workers in [1usize, 2, 4] {
         engine.set_workers(workers);
@@ -241,6 +247,58 @@ fn batched_and_single_paths_agree_for_every_worker_count() {
     }
 }
 
+/// Inference is `&self`: one `Arc<TuneService>` and one `ServeEngine`,
+/// each called from several threads at once, answer every request
+/// bit-identically to serial `TuneService::tune` — at every batch worker
+/// count, with no lock and no per-thread copy of the models.
+#[test]
+fn shared_service_and_engine_answer_concurrent_callers_bit_identically() {
+    let fx = fixture();
+    let requests = workload(&fx.ds);
+    let offline = offline_predictions(fx, &requests);
+    let service = Arc::new(offline_service(fx));
+    let engine = start_engine(1);
+    const THREADS: usize = 4;
+    for workers in [1usize, 2, 4, 8] {
+        engine.set_workers(workers);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let service = Arc::clone(&service);
+                let (engine, requests, offline, start) = (&engine, &requests, &offline, &start);
+                scope.spawn(move || {
+                    // Each thread starts at a different request, so the
+                    // threads overlap on different committees.
+                    let mine: Vec<TuneRequest> = requests
+                        .iter()
+                        .cycle()
+                        .skip(thread * 5)
+                        .take(requests.len())
+                        .cloned()
+                        .collect();
+                    let bodies: Vec<(&KernelInput, TuneObjective)> =
+                        mine.iter().map(|r| (&r.kernel, r.objective)).collect();
+                    // Release every thread into the shared service at once.
+                    start.wait();
+                    let fused = service.tune_batch(&bodies);
+                    let served = engine.tune_batch(&mine);
+                    for ((request, fused), served) in mine.iter().zip(&fused).zip(&served) {
+                        let id = request.id;
+                        let what = format!("workers={workers} thread={thread} id={id}");
+                        let expected = &offline[id as usize];
+                        let single = service.tune(&request.kernel, request.objective);
+                        assert_eq!(single.as_ref().ok(), Some(expected), "{what}");
+                        assert_same_prediction(fused.as_ref().expect("fused"), expected, &what);
+                        assert_eq!(served.id, id, "{what}");
+                        let served = served.prediction.as_ref().expect("served");
+                        assert_same_prediction(served, expected, &what);
+                    }
+                });
+            }
+        });
+    }
+}
+
 /// ISSUE 8: the whole workload pipelined over one connection so the
 /// dispatcher drains it into fused objective groups — every daemon response
 /// must still match the offline single-graph path to the bit, and the fused
@@ -251,7 +309,7 @@ fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(2);
     let addr = spawn_server(engine, roomy_config(requests.len().max(16)));
     let mut client = Client::connect(addr).expect("connect");
     // Pipeline every request before reading a single response: the
@@ -275,21 +333,14 @@ fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
             .prediction
             .as_ref()
             .unwrap_or_else(|| panic!("request {} failed: {:?}", request.id, tune.error));
-        assert_eq!(got.class, expected.class, "request {}", request.id);
-        assert_eq!(got.point, expected.point, "request {}", request.id);
-        assert_eq!(
-            got.expected_gain.to_bits(),
-            expected.expected_gain.to_bits(),
-            "request {}",
-            request.id
-        );
+        assert_same_prediction(got, expected, &format!("request {}", request.id));
     }
 
     let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
         panic!("Stats must answer Stats");
     };
     assert_eq!(stats.requests, requests.len() as u64);
-    // Every tune request reached a replica through a fused group...
+    // Every tune request reached its service through a fused group...
     assert_eq!(stats.fused_graphs, requests.len() as u64);
     // ...and grouping actually fused: fewer groups than requests, with at
     // least one group carrying several graphs.
@@ -305,7 +356,7 @@ fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
 
 #[test]
 fn registry_and_control_surface_answer_over_the_wire() {
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(engine, roomy_config(8));
     let mut client = Client::connect(addr).expect("connect");
 
@@ -399,7 +450,7 @@ fn fast_fake_clock() -> Clock {
 #[test]
 fn expired_deadlines_are_typed_rejections_not_errors() {
     let fx = fixture();
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(4, usize::MAX, fast_fake_clock()),
@@ -456,7 +507,7 @@ fn expired_deadlines_are_typed_rejections_not_errors() {
 #[test]
 fn zero_queue_sheds_every_tune_request_with_typed_rejections() {
     let fx = fixture();
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(4, 0, Arc::new(Instant::now)),
@@ -506,7 +557,7 @@ fn accepted_requests_stay_bit_identical_under_saturating_load() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(2);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(1, 1, Arc::new(Instant::now)),
@@ -527,13 +578,7 @@ fn accepted_requests_stay_bit_identical_under_saturating_load() {
                 let got = tune
                     .prediction
                     .unwrap_or_else(|| panic!("request {i} failed: {:?}", tune.error));
-                assert_eq!(got.class, offline[i].class, "request {i}");
-                assert_eq!(got.point, offline[i].point, "request {i}");
-                assert_eq!(
-                    got.expected_gain.to_bits(),
-                    offline[i].expected_gain.to_bits(),
-                    "request {i}"
-                );
+                assert_same_prediction(&got, &offline[i], &format!("request {i}"));
             }
             Response::Rejected {
                 reason: RejectReason::Overloaded,
@@ -598,13 +643,7 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
     train_scenario2_model_cached(&sky_ds, &fx.settings, false, Some(&sky_cache));
 
     let registry = ModelRegistry::open(Store::open(&serve_dir));
-    let (engine, report) = ServeEngine::start(
-        registry,
-        &EngineConfig {
-            replicas: 2,
-            workers: 2,
-        },
-    );
+    let (engine, report) = ServeEngine::start(registry, &EngineConfig { workers: 2 });
     assert_eq!(report.grids_loaded, 2, "{:?}", report.lines);
     assert_eq!(engine.machines(), vec!["haswell".to_string()]);
     let engine = Arc::new(engine);
@@ -635,13 +674,7 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
                     let got = tune.prediction.unwrap_or_else(|| {
                         panic!("request {} failed: {:?}", request.id, tune.error)
                     });
-                    assert_eq!(got.point, expected.point, "request {}", request.id);
-                    assert_eq!(
-                        got.expected_gain.to_bits(),
-                        expected.expected_gain.to_bits(),
-                        "request {}",
-                        request.id
-                    );
+                    assert_same_prediction(&got, expected, &format!("request {}", request.id));
                     answered += 1;
                 }
             }
@@ -673,7 +706,7 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
         .store()
         .load(&sky_cache.scenario2_key(&fx.settings, false))
         .expect("skylake scenario2 grid");
-    let mut sky_service = TuneService::restore(&sky_ds, &fx.settings, &s1, &s2, "t", "e")
+    let sky_service = TuneService::restore(&sky_ds, &fx.settings, &s1, &s2, "t", "e")
         .expect("offline skylake service restores");
     let kernel = KernelInput::Graph(sky_ds.regions[0].graph.clone());
     let expected = sky_service
@@ -693,11 +726,7 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
         panic!("Tune must answer Tune");
     };
     let got = tune.prediction.expect("skylake request served");
-    assert_eq!(got.point, expected.point);
-    assert_eq!(
-        got.expected_gain.to_bits(),
-        expected.expected_gain.to_bits()
-    );
+    assert_same_prediction(&got, &expected, "skylake");
 
     // Wind down: the traffic thread must have crossed the swap with zero
     // dropped or diverging responses (its asserts propagate through join).

@@ -28,19 +28,21 @@ macro_rules! simple_activation {
         }
 
         impl Layer for $name {
-            fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-                if train {
-                    self.cached_input = Some(input.clone());
-                }
+            fn forward(&self, input: &Tensor) -> Tensor {
                 let f: fn(f32) -> f32 = $fwd;
                 input.map(f)
+            }
+
+            fn forward_train(&mut self, input: &Tensor) -> Tensor {
+                self.cached_input = Some(input.clone());
+                self.forward(input)
             }
 
             fn backward(&mut self, grad_output: &Tensor) -> Tensor {
                 let input = self
                     .cached_input
                     .as_ref()
-                    .expect("activation backward called before forward(train=true)");
+                    .expect("activation backward called before forward_train");
                 let d: fn(f32) -> f32 = $bwd;
                 grad_output.zip_with(&input.map(d), |g, dx| g * dx)
             }
@@ -101,19 +103,21 @@ impl Default for LeakyReLU {
 }
 
 impl Layer for LeakyReLU {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&self, input: &Tensor) -> Tensor {
         let s = self.slope;
         input.map(|x| if x > 0.0 { x } else { s * x })
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
+        self.forward(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
-            .expect("LeakyReLU backward called before forward(train=true)");
+            .expect("LeakyReLU backward called before forward_train");
         let s = self.slope;
         grad_output.zip_with(input, |g, x| if x > 0.0 { g } else { s * g })
     }
@@ -127,7 +131,7 @@ mod tests {
     fn relu_clamps_negatives() {
         let mut relu = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward_train(&x);
         assert_eq!(y.data, vec![0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::ones(&[3]));
         assert_eq!(g.data, vec![0.0, 0.0, 1.0]);
@@ -137,7 +141,7 @@ mod tests {
     fn leaky_relu_keeps_small_negative_slope() {
         let mut lr = LeakyReLU::with_slope(0.1);
         let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]);
-        let y = lr.forward(&x, true);
+        let y = lr.forward_train(&x);
         assert!((y.data[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data[1], 3.0);
         let g = lr.backward(&Tensor::ones(&[2]));
@@ -149,7 +153,7 @@ mod tests {
     fn sigmoid_range_and_gradient() {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[3]);
-        let y = s.forward(&x, true);
+        let y = s.forward_train(&x);
         assert!(y.data[0] < 0.01 && y.data[2] > 0.99);
         assert!((y.data[1] - 0.5).abs() < 1e-6);
         let g = s.backward(&Tensor::ones(&[3]));
@@ -160,7 +164,7 @@ mod tests {
     fn tanh_gradient_at_zero_is_one() {
         let mut t = Tanh::new();
         let x = Tensor::zeros(&[1]);
-        let _ = t.forward(&x, true);
+        let _ = t.forward_train(&x);
         let g = t.backward(&Tensor::ones(&[1]));
         assert!((g.data[0] - 1.0).abs() < 1e-6);
     }

@@ -30,10 +30,14 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+    fn forward(&self, input: &Tensor) -> Tensor {
+        input.clone()
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             self.mask = None;
-            return input.clone();
+            return self.forward(input);
         }
         let keep = 1.0 - self.p;
         let mut mask = Tensor::zeros(&input.shape);
@@ -63,9 +67,9 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Tensor::ones(&[4, 4]);
-        let y = d.forward(&x, false);
+        let y = d.forward(&x);
         assert_eq!(y, x);
     }
 
@@ -73,7 +77,7 @@ mod tests {
     fn training_zeroes_roughly_p_fraction() {
         let mut d = Dropout::new(0.5, 2);
         let x = Tensor::ones(&[100, 100]);
-        let y = d.forward(&x, true);
+        let y = d.forward_train(&x);
         let zeros = y.data.iter().filter(|&&v| v == 0.0).count();
         let frac = zeros as f32 / y.numel() as f32;
         assert!((frac - 0.5).abs() < 0.05, "zero fraction {frac}");
@@ -86,7 +90,7 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut d = Dropout::new(0.3, 3);
         let x = Tensor::ones(&[10, 10]);
-        let y = d.forward(&x, true);
+        let y = d.forward_train(&x);
         let g = d.backward(&Tensor::ones(&[10, 10]));
         // gradient is zero exactly where the output was zero
         for (o, gr) in y.data.iter().zip(&g.data) {
@@ -98,6 +102,6 @@ mod tests {
     fn zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 4);
         let x = Tensor::ones(&[3, 3]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(d.forward_train(&x), x);
     }
 }

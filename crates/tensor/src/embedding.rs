@@ -41,14 +41,18 @@ impl Embedding {
     ///
     /// Out-of-vocabulary ids are clamped to the last row (the `<unk>` slot by
     /// convention in `pnp-graph`).
-    pub fn lookup(&mut self, ids: &[usize], train: bool) -> Tensor {
+    pub fn lookup(&self, ids: &[usize]) -> Tensor {
         let vs = self.vocab_size();
         let clamped: Vec<usize> = ids.iter().map(|&i| i.min(vs - 1)).collect();
-        let out = self.table.value.select_rows(&clamped);
-        if train {
-            self.cached_ids = Some(clamped);
-        }
-        out
+        self.table.value.select_rows(&clamped)
+    }
+
+    /// Training lookup: records the ids for [`Embedding::backward_ids`],
+    /// then runs [`Embedding::lookup`].
+    pub fn lookup_train(&mut self, ids: &[usize]) -> Tensor {
+        let vs = self.vocab_size();
+        self.cached_ids = Some(ids.iter().map(|&i| i.min(vs - 1)).collect());
+        self.lookup(ids)
     }
 
     /// Backward pass: scatter-adds the output gradient rows into the table.
@@ -56,7 +60,7 @@ impl Embedding {
         let ids = self
             .cached_ids
             .as_ref()
-            .expect("Embedding::backward_ids called before lookup(train=true)");
+            .expect("Embedding::backward_ids called before lookup_train");
         assert_eq!(grad_output.rows(), ids.len());
         for (row, &id) in ids.iter().enumerate() {
             self.table.grad.add_to_row(id, grad_output.row(row));
@@ -64,14 +68,23 @@ impl Embedding {
     }
 }
 
+/// The token ids in a tensor's first column (rounded toward zero, negatives
+/// read as 0).
+fn column_ids(input: &Tensor) -> Vec<usize> {
+    (0..input.rows())
+        .map(|r| input.get(r, 0).max(0.0) as usize)
+        .collect()
+}
+
 impl Layer for Embedding {
     /// The `Layer` forward treats the input tensor's first column as token
     /// ids (rounded); prefer [`Embedding::lookup`] when you already have ids.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let ids: Vec<usize> = (0..input.rows())
-            .map(|r| input.get(r, 0).max(0.0) as usize)
-            .collect();
-        self.lookup(&ids, train)
+    fn forward(&self, input: &Tensor) -> Tensor {
+        self.lookup(&column_ids(input))
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.lookup_train(&column_ids(input))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -92,8 +105,8 @@ mod tests {
     #[test]
     fn lookup_selects_rows() {
         let mut rng = SeededRng::new(21);
-        let mut emb = Embedding::new(10, 4, &mut rng);
-        let out = emb.lookup(&[3, 3, 7], false);
+        let emb = Embedding::new(10, 4, &mut rng);
+        let out = emb.lookup(&[3, 3, 7]);
         assert_eq!(out.shape, vec![3, 4]);
         assert_eq!(out.row(0), out.row(1));
         assert_eq!(out.row(0), emb.table.value.row(3));
@@ -103,8 +116,8 @@ mod tests {
     #[test]
     fn out_of_vocab_clamps_to_last_row() {
         let mut rng = SeededRng::new(22);
-        let mut emb = Embedding::new(5, 2, &mut rng);
-        let out = emb.lookup(&[999], false);
+        let emb = Embedding::new(5, 2, &mut rng);
+        let out = emb.lookup(&[999]);
         assert_eq!(out.row(0), emb.table.value.row(4));
     }
 
@@ -112,7 +125,7 @@ mod tests {
     fn backward_scatter_adds() {
         let mut rng = SeededRng::new(23);
         let mut emb = Embedding::new(4, 3, &mut rng);
-        let _ = emb.lookup(&[1, 1, 2], true);
+        let _ = emb.lookup_train(&[1, 1, 2]);
         let g = Tensor::ones(&[3, 3]);
         emb.backward_ids(&g);
         assert!(emb

@@ -38,13 +38,20 @@ impl Parameter {
 
 /// Minimal interface shared by all feed-forward layers.
 ///
-/// `forward` takes `train: bool` so layers such as [`crate::Dropout`] can
-/// behave differently at training vs. inference time. `backward` consumes the
-/// gradient w.r.t. the layer output and returns the gradient w.r.t. the layer
-/// input, accumulating parameter gradients internally.
+/// Inference and training are separate entry points. `forward` is pure: it
+/// takes `&self` and writes nothing, so one layer can serve many threads at
+/// once. `forward_train` records what `backward` needs, then computes the
+/// same output (only [`crate::Dropout`] differs: it samples a mask).
+/// `backward` consumes the gradient w.r.t. the layer output and returns the
+/// gradient w.r.t. the layer input, accumulating parameter gradients
+/// internally.
 pub trait Layer {
-    /// Forward pass.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Inference forward pass.
+    fn forward(&self, input: &Tensor) -> Tensor;
+
+    /// Training forward pass: caches the backward state, then runs the
+    /// inference body.
+    fn forward_train(&mut self, input: &Tensor) -> Tensor;
 
     /// Backward pass; returns gradient with respect to the layer input.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;

@@ -15,8 +15,9 @@
 //!   (train GNN on Haswell, re-train only the dense layers on Skylake).
 //!
 //! The library is deliberately *not* a general autograd system: every layer
-//! caches what it needs during `forward` and implements an explicit
-//! `backward`. This keeps the code auditable and fast on a single core.
+//! caches what it needs during `forward_train` and implements an explicit
+//! `backward`, while the inference `forward` takes `&self` and caches
+//! nothing. This keeps the code auditable and fast on a single core.
 //!
 //! ## Example
 //!
@@ -34,8 +35,8 @@
 //!
 //! let mut opt = Adam::new(1e-2);
 //! for _ in 0..50 {
-//!     let h = act.forward(&l1.forward(&x, true), true);
-//!     let logits = l2.forward(&h, true);
+//!     let h = act.forward_train(&l1.forward_train(&x));
+//!     let logits = l2.forward_train(&h);
 //!     let (loss, dlogits) = cross_entropy(&logits, &targets);
 //!     let dh = l2.backward(&dlogits);
 //!     let dl1 = act.backward(&dh);

@@ -7,8 +7,8 @@ use crate::Tensor;
 /// A dense layer computing `Y = X·W + b`.
 ///
 /// `X` is `(batch x in_features)`, `W` is `(in_features x out_features)` and
-/// `b` is broadcast over rows. The input is cached during `forward` so the
-/// weight gradient can be formed in `backward`.
+/// `b` is broadcast over rows. The input is cached during `forward_train` so
+/// the weight gradient can be formed in `backward`.
 pub struct Linear {
     /// Weight matrix parameter.
     pub weight: Parameter,
@@ -56,7 +56,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.in_features(),
@@ -64,19 +64,21 @@ impl Layer for Linear {
             self.in_features(),
             input.cols()
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
         input
             .matmul(&self.weight.value)
             .add_row_broadcast(&self.bias.value)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
+        self.forward(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
-            .expect("Linear::backward called before forward(train=true)");
+            .expect("Linear::backward called before forward_train");
         // dW = Xᵀ · dY ; db = column-sum(dY) ; dX = dY · Wᵀ
         let dw = input.matmul_at_b(grad_output);
         self.weight.grad.add_assign(&dw);
@@ -102,7 +104,7 @@ mod tests {
         let x = Tensor::randn(&[4, 3], &mut rng);
 
         // Scalar objective: sum of outputs.
-        let y = layer.forward(&x, true);
+        let y = layer.forward_train(&x);
         let grad_out = Tensor::ones(&y.shape);
         let dx = layer.backward(&grad_out);
 
@@ -114,14 +116,14 @@ mod tests {
             let mut lp = Linear::new(3, 2, &mut rng);
             lp.weight.value = wp;
             lp.bias.value = layer.bias.value.clone();
-            let f_plus = lp.forward(&x, false).sum();
+            let f_plus = lp.forward(&x).sum();
 
             let mut wm = layer.weight.value.clone();
             wm.set(i, j, wm.get(i, j) - eps);
             let mut lm = Linear::new(3, 2, &mut rng);
             lm.weight.value = wm;
             lm.bias.value = layer.bias.value.clone();
-            let f_minus = lm.forward(&x, false).sum();
+            let f_minus = lm.forward(&x).sum();
 
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let analytic = layer.weight.grad.get(i, j);
@@ -135,10 +137,10 @@ mod tests {
         let (r, c) = (2usize, 1usize);
         let mut xp = x.clone();
         xp.set(r, c, xp.get(r, c) + eps);
-        let f_plus = layer.forward(&xp, false).sum();
+        let f_plus = layer.forward(&xp).sum();
         let mut xm = x.clone();
         xm.set(r, c, xm.get(r, c) - eps);
-        let f_minus = layer.forward(&xm, false).sum();
+        let f_minus = layer.forward(&xm).sum();
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         let analytic = dx.get(r, c);
         assert!((numeric - analytic).abs() < 1e-2);
@@ -149,7 +151,7 @@ mod tests {
         let mut rng = SeededRng::new(12);
         let mut layer = Linear::new(2, 3, &mut rng);
         let x = Tensor::randn(&[5, 2], &mut rng);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward_train(&x);
         let g = Tensor::ones(&[5, 3]);
         let _ = layer.backward(&g);
         assert!(layer.bias.grad.data.iter().all(|&b| (b - 5.0).abs() < 1e-6));
@@ -158,9 +160,9 @@ mod tests {
     #[test]
     fn output_shape() {
         let mut rng = SeededRng::new(13);
-        let mut layer = Linear::new(8, 4, &mut rng);
+        let layer = Linear::new(8, 4, &mut rng);
         let x = Tensor::zeros(&[10, 8]);
-        let y = layer.forward(&x, false);
+        let y = layer.forward(&x);
         assert_eq!(y.shape, vec![10, 4]);
     }
 

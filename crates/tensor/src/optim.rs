@@ -347,7 +347,7 @@ mod tests {
         let mut opt = AdamW::new(0.05).amsgrad();
         let mut last_loss = f32::INFINITY;
         for _ in 0..150 {
-            let logits = layer.forward(&x, true);
+            let logits = layer.forward_train(&x);
             let (loss, dl) = cross_entropy(&logits, &targets);
             layer.backward(&dl);
             opt.step(&mut layer.parameters());

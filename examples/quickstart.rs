@@ -61,7 +61,7 @@ fn run() {
     );
     let settings = TrainSettings::quick();
     println!("training the PnP tuner ({} epochs)...", settings.epochs);
-    let mut tuner = PnPTuner::train(
+    let tuner = PnPTuner::train(
         &dataset,
         TunerMode::PowerConstrained { power_idx: 0 },
         &settings,

@@ -73,7 +73,7 @@ fn deployed_pnp_tuner_beats_the_default_on_training_regions() {
     let ds = small_dataset();
     let mut settings = fast_settings();
     settings.epochs = 20;
-    let mut tuner = PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 0 }, &settings);
+    let tuner = PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 0 }, &settings);
 
     let mut tuned_better_or_equal = 0usize;
     for i in 0..ds.len() {
@@ -97,7 +97,7 @@ fn edp_mode_predictions_reduce_edp_relative_to_default_at_tdp() {
     let ds = small_dataset();
     let mut settings = fast_settings();
     settings.epochs = 20;
-    let mut tuner = PnPTuner::train(&ds, TunerMode::Edp, &settings);
+    let tuner = PnPTuner::train(&ds, TunerMode::Edp, &settings);
     let tdp_idx = ds.space.power_levels.len() - 1;
 
     let mut improvements = Vec::new();
