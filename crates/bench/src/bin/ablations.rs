@@ -1,10 +1,8 @@
 //! Runs the design-choice ablations listed in DESIGN.md §6: RGCN vs. plain
 //! GCN, mean vs. sum readout pooling, and BLISS budget sensitivity.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::ablations;
 use pnp_core::report::write_json;
 use pnp_machine::haswell;
@@ -14,16 +12,17 @@ fn main() {
         "Ablations",
         "RGCN vs GCN, readout pooling, BLISS budget sensitivity (Haswell)",
     );
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
-    let results = ablations::run_with_store(&haswell(), &settings, sweep_threads, store.as_ref());
+    let (settings, ctx) = from_env_and_args();
+    let ds = ctx.dataset(&haswell(), &full_suite());
+    let results = or_exit(
+        "ablations",
+        ablations::run(&ds, &settings, ctx.cache(&ds).as_ref()),
+    );
     println!("{}", results.render());
     if let Ok(path) = write_json("ablations", &results) {
         eprintln!("[pnp-bench] wrote {}", path.display());
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("ablations", store) {
             std::process::exit(1);
         }

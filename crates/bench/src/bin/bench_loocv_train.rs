@@ -22,7 +22,9 @@
 
 use pnp_bench::{banner, enforce_min_speedup, report_store_stats, PerfHarnessOptions, Provenance};
 use pnp_benchmarks::full_suite;
-use pnp_core::training::{train_scenario1_models, train_scenario2_model, TrainSettings};
+use pnp_core::training::{
+    train_scenario1_models_cached, train_scenario2_model_cached, TrainSettings,
+};
 use pnp_openmp::Threads;
 use serde::Serialize;
 use std::time::Instant;
@@ -79,8 +81,8 @@ fn train_once(
     let mut settings = settings.clone();
     settings.train_threads = Threads::Fixed(workers);
     let start = Instant::now();
-    let s1 = train_scenario1_models(ds, &settings, false);
-    let s2 = train_scenario2_model(ds, &settings, false);
+    let s1 = train_scenario1_models_cached(ds, &settings, false, None);
+    let s2 = train_scenario2_model_cached(ds, &settings, false, None);
     (start.elapsed().as_secs_f64(), s1, s2)
 }
 

@@ -1,10 +1,8 @@
 //! Regenerates Figure 3: power-constrained tuning on the Skylake testbed
 //! (normalized speedups per application at 75/100/120/150 W).
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::power_constrained;
 use pnp_core::report::write_json;
 use pnp_machine::skylake;
@@ -14,17 +12,17 @@ fn main() {
         "Figure 3",
         "power-constrained tuning, Skylake (normalized by oracle)",
     );
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
-    let results =
-        power_constrained::run_with_store(&skylake(), &settings, sweep_threads, store.as_ref());
+    let (settings, ctx) = from_env_and_args();
+    let ds = ctx.dataset(&skylake(), &full_suite());
+    let results = or_exit(
+        "fig3",
+        power_constrained::run(&ds, &settings, ctx.cache(&ds).as_ref()),
+    );
     println!("{}", results.render());
     if let Ok(path) = write_json("fig3_skylake_power", &results) {
         eprintln!("[pnp-bench] wrote {}", path.display());
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("fig3", store) {
             std::process::exit(1);
         }

@@ -1,10 +1,8 @@
 //! Regenerates Figure 6: normalized EDP improvement over the default OpenMP
 //! configuration at TDP, per application, on both testbeds.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::edp;
 use pnp_core::report::write_json;
 use pnp_machine::{haswell, skylake};
@@ -14,19 +12,17 @@ fn main() {
         "Figure 6",
         "EDP tuning — normalized EDP improvements (both machines)",
     );
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
+    let (settings, ctx) = from_env_and_args();
     for machine in [skylake(), haswell()] {
-        let results = edp::run_with_store(&machine, &settings, sweep_threads, store.as_ref());
+        let ds = ctx.dataset(&machine, &full_suite());
+        let results = or_exit("fig6", edp::run(&ds, &settings, ctx.cache(&ds).as_ref()));
         println!("{}", results.render());
         let name = format!("fig6_edp_{}", machine.name);
         if let Ok(path) = write_json(&name, &results) {
             eprintln!("[pnp-bench] wrote {}", path.display());
         }
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("fig6", store) {
             std::process::exit(1);
         }

@@ -4,10 +4,8 @@
 //! Reads the JSON produced by `fig6_edp` when available (the two figures come
 //! from the same experiment); otherwise re-runs the experiment.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::edp::{self, EdpResults};
 use pnp_core::report::{write_json, TextTable};
 use pnp_machine::{haswell, skylake};
@@ -26,17 +24,15 @@ fn main() {
         "Figure 7",
         "EDP tuning — speedups and greenups over default @ TDP",
     );
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
+    let (settings, ctx) = from_env_and_args();
     for machine in [haswell(), skylake()] {
         let results = load_cached(&machine.name).unwrap_or_else(|| {
             eprintln!(
                 "[pnp-bench] no cached fig6 results for {}, re-running",
                 machine.name
             );
-            edp::run_with_store(&machine, &settings, sweep_threads, store.as_ref())
+            let ds = ctx.dataset(&machine, &full_suite());
+            or_exit("fig7", edp::run(&ds, &settings, ctx.cache(&ds).as_ref()))
         });
         println!("\n--- {} ---", machine.name);
         let hdr = [
@@ -64,7 +60,7 @@ fn main() {
             eprintln!("[pnp-bench] wrote {}", path.display());
         }
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("fig7", store) {
             std::process::exit(1);
         }

@@ -2,10 +2,8 @@
 //! per-power geometric-mean speedups and oracle-proximity statistics for both
 //! machines, reusing the JSON written by the Figure 2/3 binaries when present.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::power_constrained::{self, PowerConstrainedResults};
 use pnp_core::report::TextTable;
 use pnp_machine::{haswell, skylake};
@@ -23,10 +21,7 @@ fn main() {
         "Section IV-B summary",
         "geomean speedups per power cap and oracle proximity",
     );
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
+    let (settings, ctx) = from_env_and_args();
     let runs = [
         ("fig2_haswell_power", haswell()),
         ("fig3_skylake_power", skylake()),
@@ -36,7 +31,11 @@ fn main() {
             eprintln!(
                 "[pnp-bench] no cached {cache}, re-running (use fig2/fig3 binaries to cache)"
             );
-            power_constrained::run_with_store(&machine, &settings, sweep_threads, store.as_ref())
+            let ds = ctx.dataset(&machine, &full_suite());
+            or_exit(
+                "table3",
+                power_constrained::run(&ds, &settings, ctx.cache(&ds).as_ref()),
+            )
         });
         println!("\n--- {} ---", results.machine);
         let mut t = TextTable::new(&[
@@ -71,7 +70,7 @@ fn main() {
             100.0 * results.summary.pnp_beats_opentuner
         );
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("table3", store) {
             std::process::exit(1);
         }

@@ -2,10 +2,8 @@
 //! geometric-mean EDP improvement, speedup, and greenup over the default
 //! configuration at TDP for both machines.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
+use pnp_bench::{banner, from_env_and_args, or_exit, report_store_stats};
+use pnp_benchmarks::full_suite;
 use pnp_core::experiments::edp::{self, EdpResults};
 use pnp_core::report::TextTable;
 use pnp_machine::{haswell, skylake};
@@ -20,17 +18,15 @@ fn load_cached(machine: &str) -> Option<EdpResults> {
 
 fn main() {
     banner("Section IV-C summary", "EDP tuning headline numbers");
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
-    let store = store_from_env();
+    let (settings, ctx) = from_env_and_args();
     for machine in [haswell(), skylake()] {
         let results = load_cached(&machine.name).unwrap_or_else(|| {
             eprintln!(
                 "[pnp-bench] no cached fig6 results for {}, re-running",
                 machine.name
             );
-            edp::run_with_store(&machine, &settings, sweep_threads, store.as_ref())
+            let ds = ctx.dataset(&machine, &full_suite());
+            or_exit("table4", edp::run(&ds, &settings, ctx.cache(&ds).as_ref()))
         });
         println!("\n--- {} ---", results.machine);
         let mut t = TextTable::new(&["metric", "pnp_static", "pnp_dynamic", "bliss", "opentuner"]);
@@ -47,7 +43,7 @@ fn main() {
             100.0 * results.summary.pnp_greenup_cases
         );
     }
-    if let Some(store) = &store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("table4", store) {
             std::process::exit(1);
         }

@@ -1,5 +1,6 @@
 //! Paper-fidelity validation harness: drives every figure/table experiment
-//! through the shared `run_on_dataset` entry points, evaluates the
+//! through its driver's `run` entry point (via `pnp_core::validate::run`),
+//! evaluates the
 //! machine-checkable invariants of `pnp_core::validate` (DESIGN.md §11), and
 //! writes the verdicts as `VALIDATION.json`.
 //!
@@ -25,17 +26,13 @@
 //! corpus the `ood.*` invariants gate (DESIGN.md §13); the defaults pin the
 //! byte-identical corpus CI scores.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
-use pnp_core::validate::{
-    run_full_validation, ValidationOptions, DEFAULT_OOD_KERNELS, DEFAULT_OOD_SEED,
-};
+use pnp_bench::{banner, from_env_and_args, report_store_stats};
+use pnp_core::validate::{self, DEFAULT_OOD_KERNELS, DEFAULT_OOD_SEED};
 
 /// The flags this binary understands that take one value (`--flag V` or
-/// `--flag=V`): its own `--apps`/`--out`, plus the worker-count and store
-/// knobs the shared `pnp_bench` helpers scan the argument list for.
+/// `--flag=V`): its own `--apps`/`--out`/`--ood-*`, plus the worker-count
+/// and store knobs `pnp_bench::from_env_and_args` scans the argument list
+/// for.
 const KNOWN_FLAGS: [&str; 7] = [
     "--apps",
     "--out",
@@ -46,7 +43,7 @@ const KNOWN_FLAGS: [&str; 7] = [
     "--ood-kernels",
 ];
 
-/// Valueless boolean flags (also consumed by the `pnp_bench` store helper).
+/// Valueless boolean flags (consumed by `pnp_bench::from_env_and_args`).
 const KNOWN_BOOL_FLAGS: [&str; 2] = ["--force-rebuild", "--verify-store"];
 
 /// Extracts the known flags and rejects everything else — a fidelity gate
@@ -94,30 +91,26 @@ fn main() {
     );
     let args: Vec<String> = std::env::args().skip(1).collect();
     let values = parse_args(&args);
-    let apps = values.get("--apps").map(|v| v.parse().expect("--apps N"));
+    let mut apps = pnp_benchmarks::full_suite();
+    if let Some(n) = values.get("--apps") {
+        apps.truncate(n.parse().expect("--apps N"));
+    }
     let out = values
         .get("--out")
         .cloned()
         .unwrap_or_else(|| "VALIDATION.json".to_string());
 
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let opts = ValidationOptions {
-        settings,
-        sweep_threads: sweep_threads_from_env(),
-        apps,
-        store: store_from_env(),
-        ood_seed: values
-            .get("--ood-seed")
-            .map(|v| v.parse().expect("--ood-seed S"))
-            .unwrap_or(DEFAULT_OOD_SEED),
-        ood_kernels: values
-            .get("--ood-kernels")
-            .map(|v| v.parse().expect("--ood-kernels N"))
-            .unwrap_or(DEFAULT_OOD_KERNELS),
-    };
+    let ood_seed = values
+        .get("--ood-seed")
+        .map(|v| v.parse().expect("--ood-seed S"))
+        .unwrap_or(DEFAULT_OOD_SEED);
+    let ood_kernels = values
+        .get("--ood-kernels")
+        .map(|v| v.parse().expect("--ood-kernels N"))
+        .unwrap_or(DEFAULT_OOD_KERNELS);
 
-    let report = run_full_validation(&opts);
+    let (settings, ctx) = from_env_and_args();
+    let report = validate::run(&apps, &settings, &ctx, ood_seed, ood_kernels);
     println!("{}", report.render());
     if let Some(ood) = &report.ood {
         println!("{}", ood.render());
@@ -127,7 +120,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write VALIDATION.json");
     eprintln!("[validate_paper] wrote {out}");
 
-    if let Some(store) = &opts.store {
+    if let Some(store) = &ctx.store {
         if report_store_stats("validate_paper", store) {
             eprintln!(
                 "[validate_paper] FAIL: --verify-store found cached artifacts whose bytes \

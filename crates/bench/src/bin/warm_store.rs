@@ -7,6 +7,11 @@
 //! OOD report, DESIGN.md §13) — so a subsequent `validate_paper --store …`
 //! (or any experiment binary) is pure load-and-evaluate.
 //!
+//! It does so by running the paper-fidelity harness itself
+//! (`pnp_core::validate::run`, default OOD corpus) and discarding the
+//! report: the artifacts written are exactly the ones `validate_paper`
+//! reads, by construction.
+//!
 //! ```text
 //! warm_store --store DIR [--apps N] [--sweep-threads N] [--train-threads N]
 //!            [--force-rebuild] [--verify-store]
@@ -16,24 +21,14 @@
 //! the store directory as an artifact, and the `validate` / `train-perf`
 //! jobs download and reuse it instead of recomputing per job.
 
-use pnp_bench::{
-    banner, report_store_stats, settings_from_env, store_from_env, sweep_threads_from_env,
-    train_threads_from_env,
-};
-use pnp_core::artifact::DatasetCache;
-use pnp_core::experiments::{self, motivating, ood, transfer};
-use pnp_core::training::{
-    train_scenario1_models_cached, train_scenario2_model_cached, train_unseen_power_cached,
-};
-use pnp_core::validate::{DEFAULT_OOD_KERNELS, DEFAULT_OOD_SEED};
-use pnp_graph::Vocabulary;
-use pnp_machine::{haswell, skylake};
+use pnp_bench::{banner, from_env_and_args, report_store_stats};
+use pnp_core::validate::{self, DEFAULT_OOD_KERNELS, DEFAULT_OOD_SEED};
 use std::time::Instant;
 
 /// Flags taking a value; `--apps` is warm_store's own, the rest are scanned
-/// by the shared `pnp_bench` helpers.
+/// by `pnp_bench::from_env_and_args`.
 const KNOWN_FLAGS: [&str; 4] = ["--apps", "--store", "--sweep-threads", "--train-threads"];
-/// Valueless flags (consumed by the shared store helper).
+/// Valueless flags (also scanned by `pnp_bench::from_env_and_args`).
 const KNOWN_BOOL_FLAGS: [&str; 2] = ["--force-rebuild", "--verify-store"];
 
 /// Minimal strict parse: reject unknown flags (a typo'd `--app 6` would
@@ -84,106 +79,30 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let apps_limit = apps_from_args(&args);
 
-    let Some(store) = store_from_env() else {
+    let (settings, ctx) = from_env_and_args();
+    let Some(store) = &ctx.store else {
         eprintln!("[warm_store] no store configured — pass --store DIR or set PNP_STORE");
         std::process::exit(2);
     };
-
-    let mut settings = settings_from_env();
-    settings.train_threads = train_threads_from_env();
-    let sweep_threads = sweep_threads_from_env();
 
     let mut apps = pnp_benchmarks::full_suite();
     if let Some(n) = apps_limit {
         apps.truncate(n);
     }
-    let vocab = Vocabulary::standard();
     let t0 = Instant::now();
-
-    // Datasets and their content-hash cache handles, kept for the
-    // cross-machine block below (one fingerprint per dataset, total).
-    let mut datasets = Vec::new();
-    let mut caches: Vec<Option<DatasetCache>> = Vec::new();
-    for machine in [haswell(), skylake()] {
-        let ds = store.load_or_build_dataset(&machine, &apps, &vocab, sweep_threads);
-        eprintln!(
-            "[warm_store] {}: dataset ready ({} regions)",
-            machine.name,
-            ds.len()
-        );
-        if ds.is_empty() {
-            eprintln!(
-                "[warm_store] {}: empty suite, nothing to train",
-                machine.name
-            );
-            datasets.push(ds);
-            caches.push(None);
-            continue;
-        }
-        let cache = store.for_dataset(&ds);
-        for dynamic in [false, true] {
-            train_scenario1_models_cached(&ds, &settings, dynamic, Some(&cache));
-            train_scenario2_model_cached(&ds, &settings, dynamic, Some(&cache));
-        }
-        let held_out = [ds.space.power_levels.len() - 1, 0];
-        for p in held_out {
-            train_unseen_power_cached(&ds, &settings, p, Some(&cache));
-        }
-        eprintln!("[warm_store] {}: model grids ready", machine.name);
-        datasets.push(ds);
-        caches.push(Some(cache));
-    }
-
-    // Cross-machine artifacts: the transfer report (needs both datasets)
-    // and the single-region motivating sweep.
-    let (ds_haswell, ds_skylake) = (&datasets[0], &datasets[1]);
-    if let (Some(cache_haswell), Some(cache_skylake)) = (&caches[0], &caches[1]) {
-        let power_idx = ds_haswell.space.power_levels.len() - 1;
-        transfer::run_on_datasets_cached(
-            ds_haswell,
-            ds_skylake,
-            &settings,
-            power_idx,
-            Some((cache_haswell, cache_skylake)),
-        );
-        let _ = experiments::ablations::try_run_on_dataset_cached(
-            ds_haswell,
-            &settings,
-            Some(cache_haswell),
-        );
-
-        // Out-of-distribution artifacts (DESIGN.md §13): the synthetic
-        // evaluation dataset and the cached OOD report, under the same
-        // default corpus the `validate` job gates.
-        let eval = ood::build_synthetic_dataset(
-            &haswell(),
-            DEFAULT_OOD_SEED,
-            DEFAULT_OOD_KERNELS,
-            sweep_threads,
-            Some(&store),
-        );
-        let cache_eval = store.for_dataset(&eval);
-        let _ = ood::try_run_on_datasets_cached(
-            ds_haswell,
-            &eval,
-            &settings,
-            DEFAULT_OOD_SEED,
-            DEFAULT_OOD_KERNELS,
-            Some((cache_haswell, &cache_eval)),
-        );
-        eprintln!(
-            "[warm_store] haswell: OOD artifacts ready ({} generated kernels)",
-            DEFAULT_OOD_KERNELS
-        );
-    }
-    motivating::run_with_store(sweep_threads, Some(&store));
-
+    validate::run(
+        &apps,
+        &settings,
+        &ctx,
+        DEFAULT_OOD_SEED,
+        DEFAULT_OOD_KERNELS,
+    );
     eprintln!(
         "[warm_store] done in {:.2}s ({} applications per machine)",
         t0.elapsed().as_secs_f64(),
         apps.len()
     );
-    if report_store_stats("warm_store", &store) {
+    if report_store_stats("warm_store", store) {
         std::process::exit(1);
     }
 }

@@ -16,6 +16,7 @@
 //! This library crate only hosts small helpers shared by the binaries.
 
 use pnp_core::artifact::ArtifactStore;
+use pnp_core::experiments::{ExperimentError, RunCtx};
 use pnp_core::training::TrainSettings;
 use pnp_machine::{haswell, skylake, MachineSpec};
 use pnp_openmp::Threads;
@@ -192,10 +193,31 @@ pub fn enforce_min_speedup(
     }
 }
 
-/// Resolves the training settings from the environment (`PNP_FULL=1` for the
-/// paper-fidelity configuration) and prints which mode is active.
-pub fn settings_from_env() -> TrainSettings {
-    let settings = TrainSettings::from_env();
+/// Resolves everything an experiment binary needs from its command line
+/// and environment, printing each choice so experiment logs record it:
+///
+/// * the training settings — `PNP_FULL=1` for the paper-fidelity
+///   configuration, quick otherwise;
+/// * the LOOCV training worker count (`TrainSettings::train_threads`) —
+///   `--train-threads N` (or `--train-threads=N`) wins, then
+///   `PNP_TRAIN_THREADS`, then auto (one worker per core). Training outputs
+///   are bit-identical for every value (DESIGN.md §10);
+/// * the exhaustive-sweep worker count — `--sweep-threads N` (or `=N`) wins,
+///   then `PNP_SWEEP_THREADS`, then auto. The dataset is bit-identical for
+///   every value;
+/// * the content-addressed artifact store (DESIGN.md §12) — `--store DIR`
+///   wins, then `PNP_STORE`; unset means no store (every pipeline
+///   recomputes). `--force-rebuild` / `PNP_STORE_FORCE=1` ignores and
+///   overwrites cached artifacts; `--verify-store` / `PNP_STORE_VERIFY=1`
+///   recomputes on every hit and byte-compares against the cached payload.
+pub fn from_env_and_args() -> (TrainSettings, RunCtx) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    from_args(&args)
+}
+
+/// [`from_env_and_args`] over an explicit argument list.
+fn from_args(args: &[String]) -> (TrainSettings, RunCtx) {
+    let mut settings = TrainSettings::from_env();
     let mode = if settings.folds >= 30 {
         "FULL"
     } else {
@@ -205,48 +227,38 @@ pub fn settings_from_env() -> TrainSettings {
         "[pnp-bench] {mode} settings: {} folds, {} epochs, hidden {}, {} RGCN layers",
         settings.folds, settings.epochs, settings.hidden_dim, settings.rgcn_layers
     );
-    settings
-}
-
-/// Resolves the exhaustive-sweep worker count shared by every experiment
-/// binary: a `--sweep-threads N` (or `--sweep-threads=N`) CLI argument wins,
-/// then the `PNP_SWEEP_THREADS` environment variable, then auto (one worker
-/// per available core). Prints the active setting so experiment logs record
-/// how the dataset was built. The dataset itself is bit-identical for every
-/// value — the knob only changes wall-clock time.
-pub fn sweep_threads_from_env() -> Threads {
-    let threads = threads_flag_from(
-        std::env::args().skip(1),
-        "--sweep-threads",
-        Threads::from_env(),
+    settings.train_threads = threads_flag_from(args, "--train-threads", Threads::from_train_env());
+    eprintln!("[pnp-bench] training workers: {}", settings.train_threads);
+    let sweep_threads = threads_flag_from(args, "--sweep-threads", Threads::from_env());
+    eprintln!("[pnp-bench] sweep workers: {sweep_threads}");
+    let store = open_store(
+        string_flag_from(args, "--store"),
+        bool_flag_from(args, "--force-rebuild"),
+        bool_flag_from(args, "--verify-store"),
     );
-    eprintln!("[pnp-bench] sweep workers: {threads}");
-    threads
+    (
+        settings,
+        RunCtx {
+            sweep_threads,
+            store,
+        },
+    )
 }
 
-/// Resolves the LOOCV training worker count the same way: a
-/// `--train-threads N` (or `--train-threads=N`) CLI argument wins, then the
-/// `PNP_TRAIN_THREADS` environment variable, then auto. Training outputs are
-/// bit-identical for every value (DESIGN.md §10) — the knob only changes
-/// wall-clock time. Binaries assign the result to
-/// `TrainSettings::train_threads`.
-pub fn train_threads_from_env() -> Threads {
-    let threads = threads_flag_from(
-        std::env::args().skip(1),
-        "--train-threads",
-        Threads::from_train_env(),
-    );
-    eprintln!("[pnp-bench] training workers: {threads}");
-    threads
+/// Unwraps a driver's result, or prints the error and exits with status 1
+/// (the figure/table binaries' failure path on a degenerate suite).
+pub fn or_exit<T>(tag: &str, result: Result<T, ExperimentError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("[{tag}] FAIL: {e}");
+        std::process::exit(1);
+    })
 }
 
-/// Shared core of [`sweep_threads_from_env`] / [`train_threads_from_env`]:
-/// picks a `Threads` knob named `flag` out of an argument list (both
+/// Picks a `Threads` knob named `flag` out of an argument list (both
 /// `--flag N` and `--flag=N` forms), falling back to `fallback` when the
 /// flag is absent or unparseable (a long experiment should degrade, not
 /// abort, on a typo'd knob).
-fn threads_flag_from(args: impl Iterator<Item = String>, flag: &str, fallback: Threads) -> Threads {
-    let args: Vec<String> = args.collect();
+fn threads_flag_from(args: &[String], flag: &str, fallback: Threads) -> Threads {
     let inline = format!("{flag}=");
     for (i, arg) in args.iter().enumerate() {
         if let Some(v) = arg.strip_prefix(&inline) {
@@ -301,26 +313,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted.sort_by(|a, b| a.total_cmp(b));
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Resolves the content-addressed artifact store shared by every experiment
-/// binary (DESIGN.md §12): `--store DIR` wins, then the `PNP_STORE`
-/// environment variable; unset means no store (every pipeline recomputes).
-/// `--force-rebuild` / `PNP_STORE_FORCE=1` ignores and overwrites cached
-/// artifacts; `--verify-store` / `PNP_STORE_VERIFY=1` recomputes on every
-/// hit and byte-compares against the cached payload. Prints the active
-/// configuration so experiment logs record where artifacts came from.
-pub fn store_from_env() -> Option<ArtifactStore> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    store_from(&args)
-}
-
-fn store_from(args: &[String]) -> Option<ArtifactStore> {
-    open_store(
-        string_flag_from(args, "--store"),
-        bool_flag_from(args, "--force-rebuild"),
-        bool_flag_from(args, "--verify-store"),
-    )
 }
 
 /// Shared store opener: an explicit `--store` directory wins, then
@@ -430,7 +422,7 @@ mod tests {
     #[test]
     fn default_settings_are_quick() {
         std::env::remove_var("PNP_FULL");
-        let s = settings_from_env();
+        let (s, _) = from_args(&[]);
         assert!(s.folds < 30);
     }
 
@@ -439,44 +431,56 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         for flag in ["--sweep-threads", "--train-threads"] {
             assert_eq!(
-                threads_flag_from(args(&[flag, "4"]).into_iter(), flag, Threads::Auto),
+                threads_flag_from(&args(&[flag, "4"]), flag, Threads::Auto),
                 Threads::Fixed(4)
             );
             assert_eq!(
-                threads_flag_from(
-                    args(&[&format!("{flag}=2")]).into_iter(),
-                    flag,
-                    Threads::Auto
-                ),
+                threads_flag_from(&args(&[&format!("{flag}=2")]), flag, Threads::Auto),
                 Threads::Fixed(2)
             );
             assert_eq!(
-                threads_flag_from(
-                    args(&[&format!("{flag}=auto")]).into_iter(),
-                    flag,
-                    Threads::Fixed(3)
-                ),
+                threads_flag_from(&args(&[&format!("{flag}=auto")]), flag, Threads::Fixed(3)),
                 Threads::Auto
             );
             // No flag, or an unparseable value: the fallback wins.
             assert_eq!(
-                threads_flag_from(args(&["--other"]).into_iter(), flag, Threads::Fixed(8)),
+                threads_flag_from(&args(&["--other"]), flag, Threads::Fixed(8)),
                 Threads::Fixed(8)
             );
             assert_eq!(
-                threads_flag_from(args(&[flag, "lots"]).into_iter(), flag, Threads::Auto),
+                threads_flag_from(&args(&[flag, "lots"]), flag, Threads::Auto),
                 Threads::Auto
             );
         }
         // The two knobs do not shadow each other.
         assert_eq!(
             threads_flag_from(
-                args(&["--sweep-threads", "4"]).into_iter(),
+                &args(&["--sweep-threads", "4"]),
                 "--train-threads",
                 Threads::Fixed(2)
             ),
             Threads::Fixed(2)
         );
+    }
+
+    #[test]
+    fn from_args_resolves_both_worker_knobs_and_the_store() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let dir = std::env::temp_dir().join(format!("pnp-bench-ctx-{}", std::process::id()));
+        let (settings, ctx) = from_args(&args(&[
+            "--sweep-threads",
+            "3",
+            "--train-threads=2",
+            "--store",
+            dir.to_str().unwrap(),
+            "--verify-store",
+        ]));
+        assert_eq!(ctx.sweep_threads, Threads::Fixed(3));
+        assert_eq!(settings.train_threads, Threads::Fixed(2));
+        let store = ctx.store.expect("--store opens a store");
+        assert_eq!(store.store().root(), dir.as_path());
+        assert!(store.store().verify());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! (tuner budgets). These are intentionally lightweight — they answer "does
 //! the design choice matter", not "what is the final benchmark number".
 
-use crate::artifact::{ArtifactStore, DatasetCache};
+use crate::artifact::DatasetCache;
 use crate::dataset::Dataset;
 use crate::eval::geomean;
 use crate::report::TextTable;
@@ -17,7 +17,6 @@ use crate::training::TrainSettings;
 use pnp_gnn::train::OptimizerKind;
 use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
 use pnp_graph::Vocabulary;
-use pnp_machine::MachineSpec;
 use pnp_tuners::{BlissTuner, Objective, SimEvaluator};
 use serde::Serialize;
 
@@ -117,63 +116,17 @@ fn train_variant(ds: &Dataset, settings: &TrainSettings, relational: bool, sum_p
     report.final_train_accuracy as f64
 }
 
-/// Runs all ablations on one machine's dataset (sweep worker count from the
-/// environment; see [`run_with`]).
-pub fn run(machine: &MachineSpec, settings: &TrainSettings) -> AblationResults {
-    run_with(machine, settings, pnp_openmp::Threads::from_env())
-}
-
-/// Runs all ablations, building the dataset with an explicit sweep worker
-/// count. (The model-variant ablations train one model each on the full
-/// training set — there is no fold grid to fan out, so
-/// `settings.train_threads` is not consulted here.)
-pub fn run_with(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-) -> AblationResults {
-    run_with_store(machine, settings, sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store (DESIGN.md §12).
-pub fn run_with_store(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> AblationResults {
-    let ds = super::build_full_dataset_cached(machine, sweep_threads, store);
-    let cache = store.map(|s| s.for_dataset(&ds));
-    try_run_on_dataset_cached(&ds, settings, cache.as_ref())
-        .expect("ablations on degenerate dataset")
-}
-
-/// Runs all ablations on a pre-built dataset.
-///
-/// Panics on degenerate datasets; use [`try_run_on_dataset`] when the input
-/// is not known to be well-formed.
-pub fn run_on_dataset(ds: &Dataset, settings: &TrainSettings) -> AblationResults {
-    try_run_on_dataset(ds, settings).expect("ablations on degenerate dataset")
-}
-
-/// Fallible twin of [`run_on_dataset`]: training a variant on zero regions
-/// (or indexing a TDP that does not exist) yields a typed error instead of
-/// a panic.
-pub fn try_run_on_dataset(
-    ds: &Dataset,
-    settings: &TrainSettings,
-) -> Result<AblationResults, super::ExperimentError> {
-    try_run_on_dataset_cached(ds, settings, None)
-}
-
-/// [`try_run_on_dataset`] with an optional artifact cache bound to `ds`.
+/// Runs all ablations on a dataset. Training a variant on zero regions (or
+/// indexing a TDP that does not exist) yields a typed error instead of a
+/// panic.
 ///
 /// Ablations train one model per variant on the full training set (no fold
-/// grid), so the cached artifact is the whole [`AblationResults`] — every
-/// number in it is deterministic (fixed seeds for both the model variants
-/// and the BLISS budget sweeps), which keeps it inside the bit-identity
-/// contract.
-pub fn try_run_on_dataset_cached(
+/// grid, so `settings.train_threads` is not consulted), and with a cache
+/// bound to `ds` the cached artifact is the whole [`AblationResults`] —
+/// every number in it is deterministic (fixed seeds for both the model
+/// variants and the BLISS budget sweeps), which keeps it inside the
+/// bit-identity contract (DESIGN.md §12).
+pub fn run(
     ds: &Dataset,
     settings: &TrainSettings,
     cache: Option<&DatasetCache>,

@@ -3,12 +3,11 @@
 //! energy-delay product; results are compared against the default OpenMP
 //! configuration at TDP.
 
-use crate::artifact::{ArtifactStore, DatasetCache};
+use crate::artifact::DatasetCache;
 use crate::dataset::Dataset;
 use crate::eval::{fraction_above, fraction_within, geomean};
 use crate::report::TextTable;
 use crate::training::{train_scenario2_model_cached, TrainSettings};
-use pnp_machine::MachineSpec;
 use pnp_tuners::{BlissTuner, Objective, OpenTunerLike, SimEvaluator};
 use serde::Serialize;
 
@@ -173,59 +172,12 @@ impl EdpResults {
     }
 }
 
-/// Runs the EDP experiment on a machine (sweep worker count from the
-/// environment; see [`run_with`]).
-pub fn run(machine: &MachineSpec, settings: &TrainSettings) -> EdpResults {
-    run_with(machine, settings, pnp_openmp::Threads::from_env())
-}
-
-/// Runs the EDP experiment, building the dataset with an explicit sweep
-/// worker count. The per-fold training fan-out is governed separately by
-/// `settings.train_threads` (`PNP_TRAIN_THREADS` / `--train-threads`);
-/// results are bit-identical for every value of either knob.
-pub fn run_with(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-) -> EdpResults {
-    run_with_store(machine, settings, sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store: the dataset and both
-/// trained-model grids are served from the store when warm (DESIGN.md §12).
-pub fn run_with_store(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> EdpResults {
-    let ds = super::build_full_dataset_cached(machine, sweep_threads, store);
-    let cache = store.map(|s| s.for_dataset(&ds));
-    try_run_on_dataset_cached(&ds, settings, cache.as_ref())
-        .expect("EDP experiment on degenerate dataset")
-}
-
-/// Runs the EDP experiment on a pre-built dataset.
-///
-/// Panics on degenerate datasets; use [`try_run_on_dataset`] when the input
-/// is not known to be well-formed.
-pub fn run_on_dataset(ds: &Dataset, settings: &TrainSettings) -> EdpResults {
-    try_run_on_dataset(ds, settings).expect("EDP experiment on degenerate dataset")
-}
-
-/// Fallible twin of [`run_on_dataset`]: a typed error instead of an index
-/// underflow (`power_levels.len() - 1`) or an empty-training-set panic.
-pub fn try_run_on_dataset(
-    ds: &Dataset,
-    settings: &TrainSettings,
-) -> Result<EdpResults, super::ExperimentError> {
-    try_run_on_dataset_cached(ds, settings, None)
-}
-
-/// [`try_run_on_dataset`] with an optional artifact cache bound to `ds`:
-/// the scenario-2 static and dynamic model grids are loaded and replayed
-/// when warm, trained and saved when cold — bit-identical either way.
-pub fn try_run_on_dataset_cached(
+/// Runs the EDP experiment on a dataset. With a cache bound to `ds`, the
+/// scenario-2 static and dynamic model grids are loaded and replayed when
+/// warm, trained and saved when cold — bit-identical either way. Degenerate
+/// datasets yield a typed error instead of an index underflow
+/// (`power_levels.len() - 1`) or an empty-training-set panic.
+pub fn run(
     ds: &Dataset,
     settings: &TrainSettings,
     cache: Option<&DatasetCache>,

@@ -1,8 +1,10 @@
 //! Experiment drivers — one per table/figure of the paper.
 //!
 //! Each driver returns a serializable result structure and knows how to
-//! render itself as the rows/series the corresponding figure plots. The
-//! `pnp-bench` binaries are thin wrappers that call these and print.
+//! render itself as the rows/series the corresponding figure plots. Each
+//! driver has exactly one entry point, `run`, over pre-built datasets (built
+//! with [`RunCtx::dataset`]) and optional cache handles ([`RunCtx::cache`]);
+//! the `pnp-bench` binaries are thin wrappers that call it and print.
 //!
 //! | Paper artefact | Driver |
 //! |---|---|
@@ -14,6 +16,7 @@
 //! | Fig. 6 / Fig. 7 (+ §IV-C numbers) | [`edp`] |
 //! | §IV-B transfer learning | [`transfer`] |
 //! | Design-choice ablations (DESIGN.md §6) | [`ablations`] |
+//! | Out-of-distribution generalization (DESIGN.md §13) | [`ood`] |
 
 pub mod ablations;
 pub mod edp;
@@ -23,17 +26,17 @@ pub mod power_constrained;
 pub mod transfer;
 pub mod unseen_power;
 
-use pnp_benchmarks::full_suite;
+use pnp_benchmarks::Application;
 use pnp_graph::Vocabulary;
 use pnp_machine::MachineSpec;
 use pnp_openmp::Threads;
 
-use crate::artifact::ArtifactStore;
+use crate::artifact::{ArtifactStore, DatasetCache};
 use crate::dataset::Dataset;
 
 /// Why an experiment driver cannot run on a dataset.
 ///
-/// The `try_run_on_dataset` entry points return these instead of panicking
+/// The drivers' `run` entry points return these instead of panicking
 /// deep inside a pipeline (empty prediction sets, `len - 1` underflow on an
 /// empty power-level list, training on zero samples) — the degenerate inputs
 /// the paper-fidelity validator's edge sweeps probe.
@@ -76,7 +79,7 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// Shared guard for the `try_run_on_dataset` entry points.
+/// Shared guard for the drivers' `run` entry points.
 pub(crate) fn check_dataset(ds: &Dataset, min_power_levels: usize) -> Result<(), ExperimentError> {
     if ds.is_empty() {
         return Err(ExperimentError::EmptyDataset);
@@ -91,32 +94,36 @@ pub(crate) fn check_dataset(ds: &Dataset, min_power_levels: usize) -> Result<(),
     Ok(())
 }
 
-/// Builds the full-suite dataset for a machine (the expensive exhaustive
-/// sweep shared by several experiments), with the worker count resolved from
-/// the `PNP_SWEEP_THREADS` environment variable.
-pub fn build_full_dataset(machine: &MachineSpec) -> Dataset {
-    build_full_dataset_with(machine, Threads::from_env())
+/// What every driver needs besides its training settings: how many workers
+/// run the exhaustive sweeps, and the optional artifact store (DESIGN.md
+/// §12) that serves datasets and trained artifacts when warm. The
+/// `pnp-bench` binaries build one from their flags and environment.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// Worker count for the exhaustive sweeps. Datasets are bit-identical
+    /// for every value; the knob only changes wall-clock time.
+    pub sweep_threads: Threads,
+    /// Content-addressed artifact store; `None` recomputes everything.
+    pub store: Option<ArtifactStore>,
 }
 
-/// Builds the full-suite dataset with an explicit sweep worker count (the
-/// knob every `pnp-bench` binary threads through from its CLI/environment).
-pub fn build_full_dataset_with(machine: &MachineSpec, sweep_threads: Threads) -> Dataset {
-    build_full_dataset_cached(machine, sweep_threads, None)
-}
+impl RunCtx {
+    /// The swept dataset of `apps` on `machine`: served from the store when
+    /// warm, built (and cached, when a store is configured) otherwise.
+    /// Cached and fresh datasets are byte-identical, so callers cannot
+    /// observe which path ran.
+    pub fn dataset(&self, machine: &MachineSpec, apps: &[Application]) -> Dataset {
+        let vocab = Vocabulary::standard();
+        match &self.store {
+            Some(store) => store.load_or_build_dataset(machine, apps, &vocab, self.sweep_threads),
+            None => Dataset::build_with_threads(machine, apps, &vocab, self.sweep_threads),
+        }
+    }
 
-/// [`build_full_dataset_with`] with an optional artifact store: a warm store
-/// serves the dataset instead of re-running the exhaustive sweep; a cold one
-/// builds and caches it. Cached and fresh datasets are byte-identical
-/// (DESIGN.md §12), so callers cannot observe which path ran.
-pub fn build_full_dataset_cached(
-    machine: &MachineSpec,
-    sweep_threads: Threads,
-    store: Option<&ArtifactStore>,
-) -> Dataset {
-    let apps = full_suite();
-    let vocab = Vocabulary::standard();
-    match store {
-        Some(store) => store.load_or_build_dataset(machine, &apps, &vocab, sweep_threads),
-        None => Dataset::build_with_threads(machine, &apps, &vocab, sweep_threads),
+    /// The store bound to `ds`'s content hash, the handle the drivers key
+    /// their trained artifacts under; `None` without a store. Binding
+    /// serializes the dataset once, so create it once per dataset.
+    pub fn cache(&self, ds: &Dataset) -> Option<DatasetCache<'_>> {
+        self.store.as_ref().map(|store| store.for_dataset(ds))
     }
 }

@@ -8,7 +8,8 @@
 //! race-to-halt), and that the best-EDP point gives a 1.64× speedup and a
 //! 2.7× greenup over the default configuration at TDP.
 
-use crate::artifact::{self, ArtifactStore};
+use super::RunCtx;
+use crate::artifact;
 use crate::eval::geomean;
 use crate::report::TextTable;
 use pnp_benchmarks::proxy::lulesh;
@@ -77,26 +78,12 @@ impl MotivatingResults {
     }
 }
 
-/// Runs the motivating-example sweep (sweep worker count from the
-/// environment; see [`run_with`]).
-pub fn run() -> MotivatingResults {
-    run_with(pnp_openmp::Threads::from_env())
-}
-
-/// Runs the motivating-example sweep with an explicit worker count. The
-/// dataset is a single region, so the fan-out is a formality — the knob is
-/// threaded through for uniformity with the other drivers.
-pub fn run_with(sweep_threads: pnp_openmp::Threads) -> MotivatingResults {
-    run_with_store(sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store: the whole result (a
-/// single-region sweep plus deterministic argmin scans) is cached under the
-/// machine and suite fingerprints (DESIGN.md §12).
-pub fn run_with_store(
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> MotivatingResults {
+/// Runs the motivating-example sweep: a single-region dataset swept with
+/// `ctx.sweep_threads` workers (a formality for one region, threaded through
+/// for uniformity). With a store, the whole result — the sweep plus
+/// deterministic argmin scans — is cached under the machine and suite
+/// fingerprints (DESIGN.md §12).
+pub fn run(ctx: &RunCtx) -> MotivatingResults {
     let machine = haswell();
     let lulesh_app = lulesh::app();
     let region_idx = lulesh_app
@@ -105,14 +92,14 @@ pub fn run_with_store(
         .position(|r| r.name() == lulesh::MOTIVATING_REGION)
         .expect("motivating region exists");
     let single = Application::new("LULESH", vec![lulesh_app.regions[region_idx].clone()]);
-    match store {
+    match &ctx.store {
         Some(store) => {
             let key = artifact::motivating_key(&machine, std::slice::from_ref(&single));
             store.store().load_or_build(&key, || {
-                compute_motivating(&machine, single.clone(), sweep_threads)
+                compute_motivating(&machine, single.clone(), ctx.sweep_threads)
             })
         }
-        None => compute_motivating(&machine, single, sweep_threads),
+        None => compute_motivating(&machine, single, ctx.sweep_threads),
     }
 }
 

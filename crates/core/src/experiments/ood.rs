@@ -11,13 +11,11 @@
 //! learned transferable structure tracks the oracle. The paper-fidelity
 //! validator gates the resulting invariants (`ood.*` checks).
 
-use crate::artifact::{self, ArtifactStore, DatasetCache};
+use crate::artifact::{self, DatasetCache};
 use crate::dataset::Dataset;
 use crate::eval::{fraction_within, geomean};
 use crate::report::TextTable;
 use crate::training::{class_prior_scenario1, predict_with_prior, train_ood_model, TrainSettings};
-use pnp_graph::Vocabulary;
-use pnp_machine::MachineSpec;
 use serde::{Deserialize, Serialize};
 
 use super::{check_dataset, ExperimentError};
@@ -129,47 +127,60 @@ impl OodResults {
     }
 }
 
-/// Builds the synthetic evaluation dataset for `(machine, seed, count)`:
-/// generated kernels swept through the analytic machine models exactly like
-/// the paper suite. Served from the store when warm (the dataset key already
-/// fingerprints the generated suite content, so each `(seed, count)` corpus
-/// gets its own entry).
-pub fn build_synthetic_dataset(
-    machine: &MachineSpec,
-    seed: u64,
-    count: usize,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> Dataset {
-    let apps = pnp_benchmarks::synthetic_suite(seed, count);
-    let vocab = Vocabulary::standard();
-    match store {
-        Some(store) => store.load_or_build_dataset(machine, &apps, &vocab, sweep_threads),
-        None => Dataset::build_with_threads(machine, &apps, &vocab, sweep_threads),
-    }
-}
-
-/// Runs the out-of-distribution experiment on pre-built datasets: for every
-/// power cap, train one model on *all* of `train` (no folds — the evaluation
-/// set is disjoint by construction) and predict each `eval` region's
-/// configuration class, scoring predicted vs. default vs. oracle times from
-/// `eval`'s exhaustive sweep.
+/// Runs the out-of-distribution experiment: for every power cap, train one
+/// model on *all* of `train` (no folds — the evaluation set is disjoint by
+/// construction) and predict each `eval` region's configuration class,
+/// scoring predicted vs. default vs. oracle times from `eval`'s exhaustive
+/// sweep. The evaluation set is the generated corpus
+/// `pnp_benchmarks::synthetic_suite(seed, kernels)`, swept like the paper
+/// suite (the dataset key fingerprints the generated content, so each
+/// corpus gets its own store entry).
 ///
 /// `seed`/`kernels` are recorded in the results so reports and cache keys
-/// stay tied to the generated corpus they describe.
-pub fn try_run_on_datasets(
+/// stay tied to the generated corpus they describe. With cache handles
+/// bound to the two datasets, the report is served from / stored into the
+/// artifact store under a generator-seed-fingerprinted key; the experiment
+/// is fully deterministic (DESIGN.md §9/§12), so cached and fresh results
+/// are byte-identical.
+pub fn run(
     train: &Dataset,
     eval: &Dataset,
     settings: &TrainSettings,
     seed: u64,
     kernels: usize,
+    caches: Option<(&DatasetCache, &DatasetCache)>,
 ) -> Result<OodResults, ExperimentError> {
+    // The error paths come *before* the store: a degenerate input fails
+    // identically with and without a cache.
     check_dataset(train, 1)?;
     check_dataset(eval, 1)?;
     if train.space != eval.space {
         return Err(ExperimentError::MismatchedSearchSpaces);
     }
+    let compute = || evaluate(train, eval, settings, seed, kernels);
+    Ok(match caches {
+        Some((cache_train, cache_eval)) => {
+            let key = artifact::ood_key(
+                cache_train.dataset_sha256(),
+                cache_eval.dataset_sha256(),
+                settings,
+                seed,
+                kernels,
+            );
+            cache_train.store().load_or_build(&key, compute)
+        }
+        None => compute(),
+    })
+}
 
+/// The uncached experiment behind [`run`], on inputs it has validated.
+fn evaluate(
+    train: &Dataset,
+    eval: &Dataset,
+    settings: &TrainSettings,
+    seed: u64,
+    kernels: usize,
+) -> OodResults {
     let all_train: Vec<usize> = (0..train.len()).collect();
     let mut rows = Vec::with_capacity(train.space.power_levels.len());
     for (power_idx, &power_watts) in train.space.power_levels.iter().enumerate() {
@@ -199,7 +210,7 @@ pub fn try_run_on_datasets(
         });
     }
 
-    Ok(OodResults {
+    OodResults {
         seed,
         kernels,
         regions: eval
@@ -208,70 +219,7 @@ pub fn try_run_on_datasets(
             .map(|r| format!("{}/{}", r.app, r.region))
             .collect(),
         rows,
-    })
-}
-
-/// [`try_run_on_datasets`] with result caching: when cache handles (bound to
-/// the two datasets' content hashes) are present, the report is served from /
-/// stored into the artifact store under a generator-seed-fingerprinted key.
-/// The experiment is fully deterministic (DESIGN.md §9/§12), so cached and
-/// fresh results are byte-identical.
-pub fn try_run_on_datasets_cached(
-    train: &Dataset,
-    eval: &Dataset,
-    settings: &TrainSettings,
-    seed: u64,
-    kernels: usize,
-    caches: Option<(&DatasetCache, &DatasetCache)>,
-) -> Result<OodResults, ExperimentError> {
-    match caches {
-        Some((cache_train, cache_eval)) => {
-            // Probe the error paths *before* touching the store: a degenerate
-            // input must fail identically with and without a cache.
-            check_dataset(train, 1)?;
-            check_dataset(eval, 1)?;
-            if train.space != eval.space {
-                return Err(ExperimentError::MismatchedSearchSpaces);
-            }
-            let key = artifact::ood_key(
-                cache_train.dataset_sha256(),
-                cache_eval.dataset_sha256(),
-                settings,
-                seed,
-                kernels,
-            );
-            Ok(cache_train.store().load_or_build(&key, || {
-                try_run_on_datasets(train, eval, settings, seed, kernels)
-                    .expect("preconditions checked above")
-            }))
-        }
-        None => try_run_on_datasets(train, eval, settings, seed, kernels),
     }
-}
-
-/// End-to-end convenience: build the Haswell paper-suite training dataset
-/// and the `(seed, count)` synthetic evaluation dataset (both served from
-/// the store when warm), then run the experiment with the report cached.
-pub fn run_with_store(
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-    seed: u64,
-    count: usize,
-) -> Result<OodResults, ExperimentError> {
-    let machine = pnp_machine::haswell();
-    let train = super::build_full_dataset_cached(&machine, sweep_threads, store);
-    let eval = build_synthetic_dataset(&machine, seed, count, sweep_threads, store);
-    let cache_train = store.map(|s| s.for_dataset(&train));
-    let cache_eval = store.map(|s| s.for_dataset(&eval));
-    try_run_on_datasets_cached(
-        &train,
-        &eval,
-        settings,
-        seed,
-        count,
-        cache_train.as_ref().zip(cache_eval.as_ref()),
-    )
 }
 
 #[cfg(test)]
@@ -287,15 +235,13 @@ mod tests {
 
     fn tiny_datasets() -> (Dataset, Dataset) {
         let machine = pnp_machine::haswell();
-        let vocab = Vocabulary::standard();
+        let ctx = crate::experiments::RunCtx {
+            sweep_threads: pnp_openmp::Threads::Fixed(1),
+            store: None,
+        };
         let train_apps: Vec<_> = pnp_benchmarks::full_suite().into_iter().take(3).collect();
-        let train = Dataset::build_with_threads(
-            &machine,
-            &train_apps,
-            &vocab,
-            pnp_openmp::Threads::Fixed(1),
-        );
-        let eval = build_synthetic_dataset(&machine, 7, 4, pnp_openmp::Threads::Fixed(1), None);
+        let train = ctx.dataset(&machine, &train_apps);
+        let eval = ctx.dataset(&machine, &pnp_benchmarks::synthetic_suite(7, 4));
         (train, eval)
     }
 
@@ -303,8 +249,8 @@ mod tests {
     fn ood_runs_end_to_end_and_is_deterministic() {
         let (train, eval) = tiny_datasets();
         let s = tiny_settings();
-        let a = try_run_on_datasets(&train, &eval, &s, 7, 4).unwrap();
-        let b = try_run_on_datasets(&train, &eval, &s, 7, 4).unwrap();
+        let a = run(&train, &eval, &s, 7, 4, None).unwrap();
+        let b = run(&train, &eval, &s, 7, 4, None).unwrap();
         assert_eq!(a.kernels, 4);
         assert_eq!(a.regions.len(), 4);
         assert_eq!(a.rows.len(), train.space.power_levels.len());
@@ -339,17 +285,17 @@ mod tests {
             sweeps: Vec::new(),
         };
         assert_eq!(
-            try_run_on_datasets(&empty, &eval, &s, 7, 4).unwrap_err(),
+            run(&empty, &eval, &s, 7, 4, None).unwrap_err(),
             ExperimentError::EmptyDataset
         );
         assert_eq!(
-            try_run_on_datasets(&train, &empty, &s, 7, 4).unwrap_err(),
+            run(&train, &empty, &s, 7, 4, None).unwrap_err(),
             ExperimentError::EmptyDataset
         );
         let mut skewed = eval.clone();
         skewed.space.power_levels.push(999.0);
         assert_eq!(
-            try_run_on_datasets(&train, &skewed, &s, 7, 4).unwrap_err(),
+            run(&train, &skewed, &s, 7, 4, None).unwrap_err(),
             ExperimentError::MismatchedSearchSpaces
         );
     }

@@ -4,12 +4,11 @@
 //! geometric-mean speedups over the default configuration, normalized by the
 //! oracle's speedup.
 
-use crate::artifact::{ArtifactStore, DatasetCache};
+use crate::artifact::DatasetCache;
 use crate::dataset::Dataset;
 use crate::eval::{fraction_no_worse, fraction_within, geomean};
 use crate::report::TextTable;
 use crate::training::{train_scenario1_models_cached, TrainSettings};
-use pnp_machine::MachineSpec;
 use pnp_tuners::{BlissTuner, Objective, OpenTunerLike, RegionEvaluator, SimEvaluator};
 use serde::Serialize;
 
@@ -177,61 +176,13 @@ impl PowerConstrainedResults {
     }
 }
 
-/// Runs the experiment on a machine (sweep worker count from the
-/// environment; see [`run_with`]).
-pub fn run(machine: &MachineSpec, settings: &TrainSettings) -> PowerConstrainedResults {
-    run_with(machine, settings, pnp_openmp::Threads::from_env())
-}
-
-/// Runs the experiment, building the dataset with an explicit sweep worker
-/// count. The LOOCV training fan-out is governed separately by
-/// `settings.train_threads` (`PNP_TRAIN_THREADS` / `--train-threads`);
-/// results are bit-identical for every value of either knob.
-pub fn run_with(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-) -> PowerConstrainedResults {
-    run_with_store(machine, settings, sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store: the dataset and both
-/// trained-model grids are served from the store when warm (DESIGN.md §12).
-pub fn run_with_store(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> PowerConstrainedResults {
-    let ds = super::build_full_dataset_cached(machine, sweep_threads, store);
-    let cache = store.map(|s| s.for_dataset(&ds));
-    try_run_on_dataset_cached(&ds, settings, cache.as_ref())
-        .expect("power-constrained experiment on degenerate dataset")
-}
-
-/// Runs the experiment on a pre-built dataset (lets callers share the sweep).
-///
-/// Panics on degenerate datasets; use [`try_run_on_dataset`] when the input
-/// is not known to be well-formed.
-pub fn run_on_dataset(ds: &Dataset, settings: &TrainSettings) -> PowerConstrainedResults {
-    try_run_on_dataset(ds, settings).expect("power-constrained experiment on degenerate dataset")
-}
-
-/// Fallible twin of [`run_on_dataset`]: returns a typed error for datasets
-/// the pipeline cannot process (no regions, no power levels) instead of
-/// panicking mid-training.
-pub fn try_run_on_dataset(
-    ds: &Dataset,
-    settings: &TrainSettings,
-) -> Result<PowerConstrainedResults, super::ExperimentError> {
-    try_run_on_dataset_cached(ds, settings, None)
-}
-
-/// [`try_run_on_dataset`] with an optional artifact cache bound to `ds`:
-/// the scenario-1 static and dynamic model grids are loaded and replayed
-/// when warm, trained and saved when cold — with bit-identical results
-/// either way.
-pub fn try_run_on_dataset_cached(
+/// Runs the experiment on a dataset. With a cache bound to `ds`, the
+/// scenario-1 static and dynamic model grids are loaded and replayed when
+/// warm, trained and saved when cold — bit-identical either way (DESIGN.md
+/// §12). The LOOCV fan-out is governed by `settings.train_threads`; results
+/// are bit-identical for every value. Datasets the pipeline cannot process
+/// (no regions, no power levels) yield a typed error, not a panic.
+pub fn run(
     ds: &Dataset,
     settings: &TrainSettings,
     cache: Option<&DatasetCache>,

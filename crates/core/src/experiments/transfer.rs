@@ -4,11 +4,11 @@
 //! only the dense classifier — the paper reports ≈ 4.18× faster training
 //! (76 % less training time).
 
-use crate::artifact::{self, ArtifactStore, DatasetCache};
+use super::{check_dataset, ExperimentError};
+use crate::artifact::{self, DatasetCache};
 use crate::dataset::Dataset;
 use crate::report::TextTable;
 use crate::training::{transfer_experiment, TrainSettings, TransferReport};
-use pnp_machine::{haswell, skylake};
 use serde::Serialize;
 
 /// Serializable wrapper of the transfer-learning outcome.
@@ -61,62 +61,35 @@ impl TransferResults {
     }
 }
 
-/// Runs the transfer-learning experiment (Haswell → Skylake) at the highest
-/// power level. Sweep worker count comes from the environment; see
-/// [`run_with`].
-pub fn run(settings: &TrainSettings) -> TransferResults {
-    run_with(settings, pnp_openmp::Threads::from_env())
-}
-
-/// Runs the transfer-learning experiment, building both datasets with an
-/// explicit sweep worker count. (Unlike the cross-validated pipelines this
-/// experiment trains single models and *measures their wall time*, so it
-/// does not consult `settings.train_threads` — the scratch/transfer timing
-/// comparison must not depend on an unrelated fan-out knob.)
-pub fn run_with(settings: &TrainSettings, sweep_threads: pnp_openmp::Threads) -> TransferResults {
-    run_with_store(settings, sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store: both datasets come from the
-/// store when warm, and the report itself is cached via
-/// [`run_on_datasets_cached`].
-pub fn run_with_store(
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> TransferResults {
-    let ds_haswell = super::build_full_dataset_cached(&haswell(), sweep_threads, store);
-    let ds_skylake = super::build_full_dataset_cached(&skylake(), sweep_threads, store);
-    let power_idx = ds_haswell.space.power_levels.len() - 1;
-    let cache_source = store.map(|s| s.for_dataset(&ds_haswell));
-    let cache_target = store.map(|s| s.for_dataset(&ds_skylake));
-    run_on_datasets_cached(
-        &ds_haswell,
-        &ds_skylake,
-        settings,
-        power_idx,
-        cache_source.as_ref().zip(cache_target.as_ref()),
-    )
-}
-
-/// Runs the transfer experiment on pre-built datasets, caching the *report*
-/// when cache handles (bound to the two datasets' content hashes, which
-/// callers have already computed) are present.
+/// Runs the transfer-learning experiment (source → target; the paper's is
+/// Haswell → Skylake) at the source machine's TDP, its highest power level.
+/// (Unlike the cross-validated pipelines this experiment trains single
+/// models and *measures their wall time*, so it does not consult
+/// `settings.train_threads` — the scratch/transfer timing comparison must
+/// not depend on an unrelated fan-out knob.)
 ///
+/// With cache handles bound to the two datasets, the *report* is cached.
 /// Unlike the model grids, this artifact carries wall-clock measurements
 /// (the experiment's very point is the scratch-vs-transfer training-time
 /// ratio), so it is cached with the non-deterministic variant: a warm store
 /// returns the first run's measured report verbatim; re-measuring is what
 /// `--force-rebuild` is for. The bit-identity contract (DESIGN.md §12)
 /// explicitly exempts it.
-pub fn run_on_datasets_cached(
+///
+/// Both datasets need regions to train on, and the target needs the
+/// source's TDP level; otherwise the result is a typed error.
+pub fn run(
     source: &Dataset,
     target: &Dataset,
     settings: &TrainSettings,
-    power_idx: usize,
     caches: Option<(&DatasetCache, &DatasetCache)>,
-) -> TransferResults {
-    match caches {
+) -> Result<TransferResults, ExperimentError> {
+    check_dataset(source, 1)?;
+    let power_idx = source.space.power_levels.len() - 1;
+    check_dataset(target, power_idx + 1)?;
+    let compute =
+        || TransferResults::from(transfer_experiment(source, target, settings, power_idx));
+    Ok(match caches {
         Some((cache_source, cache_target)) => {
             let key = artifact::transfer_key(
                 cache_source.dataset_sha256(),
@@ -126,10 +99,8 @@ pub fn run_on_datasets_cached(
             );
             cache_source
                 .store()
-                .load_or_build_nondeterministic(&key, || {
-                    transfer_experiment(source, target, settings, power_idx).into()
-                })
+                .load_or_build_nondeterministic(&key, compute)
         }
-        None => transfer_experiment(source, target, settings, power_idx).into(),
-    }
+        None => compute(),
+    })
 }

@@ -3,12 +3,11 @@
 //! counters plus the normalized power cap as dynamic features, and evaluated
 //! on the held-out cap (lowest and highest per machine).
 
-use crate::artifact::{ArtifactStore, DatasetCache};
+use crate::artifact::DatasetCache;
 use crate::dataset::Dataset;
 use crate::eval::{fraction_within, geomean};
 use crate::report::TextTable;
 use crate::training::{train_unseen_power_cached, TrainSettings};
-use pnp_machine::MachineSpec;
 use serde::Serialize;
 
 /// One application bar of Figure 4/5 at one held-out power cap.
@@ -86,62 +85,14 @@ impl UnseenPowerResults {
     }
 }
 
-/// Runs the unseen-power experiment for a machine (holds out the lowest and
-/// the highest cap, as in the paper). Sweep worker count comes from the
-/// environment; see [`run_with`].
-pub fn run(machine: &MachineSpec, settings: &TrainSettings) -> UnseenPowerResults {
-    run_with(machine, settings, pnp_openmp::Threads::from_env())
-}
-
-/// Runs the unseen-power experiment, building the dataset with an explicit
-/// sweep worker count. The per-fold training fan-out is governed separately
-/// by `settings.train_threads` (`PNP_TRAIN_THREADS` / `--train-threads`);
-/// results are bit-identical for every value of either knob.
-pub fn run_with(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-) -> UnseenPowerResults {
-    run_with_store(machine, settings, sweep_threads, None)
-}
-
-/// [`run_with`] with an optional artifact store: the dataset and the
-/// per-held-out-cap model grids are served from the store when warm
-/// (DESIGN.md §12).
-pub fn run_with_store(
-    machine: &MachineSpec,
-    settings: &TrainSettings,
-    sweep_threads: pnp_openmp::Threads,
-    store: Option<&ArtifactStore>,
-) -> UnseenPowerResults {
-    let ds = super::build_full_dataset_cached(machine, sweep_threads, store);
-    let cache = store.map(|s| s.for_dataset(&ds));
-    try_run_on_dataset_cached(&ds, settings, cache.as_ref())
-        .expect("unseen-power experiment on degenerate dataset")
-}
-
-/// Runs the experiment on a pre-built dataset.
-///
-/// Panics on degenerate datasets; use [`try_run_on_dataset`] when the input
-/// is not known to be well-formed.
-pub fn run_on_dataset(ds: &Dataset, settings: &TrainSettings) -> UnseenPowerResults {
-    try_run_on_dataset(ds, settings).expect("unseen-power experiment on degenerate dataset")
-}
-
-/// Fallible twin of [`run_on_dataset`]: holding a cap out requires at least
-/// two power levels and a non-empty region list — degenerate datasets yield
-/// a typed error instead of an underflow or an empty-training-set panic.
-pub fn try_run_on_dataset(
-    ds: &Dataset,
-    settings: &TrainSettings,
-) -> Result<UnseenPowerResults, super::ExperimentError> {
-    try_run_on_dataset_cached(ds, settings, None)
-}
-
-/// [`try_run_on_dataset`] with an optional artifact cache bound to `ds`:
-/// one trained-model grid per held-out cap is loaded and replayed when
-/// warm, trained and saved when cold — bit-identical either way.
-pub fn try_run_on_dataset_cached(
+/// Runs the unseen-power experiment on a dataset, holding out the lowest
+/// and the highest cap as in the paper. With a cache bound to `ds`, one
+/// trained-model grid per held-out cap is loaded and replayed when warm,
+/// trained and saved when cold — bit-identical either way. Holding a cap out
+/// requires at least two power levels and a non-empty region list;
+/// degenerate datasets yield a typed error instead of an underflow or an
+/// empty-training-set panic.
+pub fn run(
     ds: &Dataset,
     settings: &TrainSettings,
     cache: Option<&DatasetCache>,

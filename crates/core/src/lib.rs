@@ -47,11 +47,12 @@ pub mod validate;
 pub use artifact::{dataset_fingerprint, ArtifactStore, DatasetCache};
 pub use dataset::{Dataset, RegionRecord, Sweep};
 pub use eval::{checked_geomean, fraction_within, geomean, normalized_speedups};
+pub use experiments::RunCtx;
 pub use pnp::PnPTuner;
 pub use registry::{DatasetDescriptor, ModelDescriptor, ModelRegistry, ModelSummary};
 pub use serving::{
     resolve_graph, serving_tables, GridPipeline, KernelInput, ServingTables, TuneObjective,
     TunePrediction, TuneRequest, TuneResponse, TuneService,
 };
-pub use training::{train_scenario1_models, train_scenario2_model, FoldPlan, TrainSettings};
-pub use validate::{run_full_validation, ValidationOptions, ValidationReport};
+pub use training::{FoldPlan, TrainSettings};
+pub use validate::ValidationReport;

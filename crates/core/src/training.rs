@@ -20,24 +20,24 @@
 
 //! ## Cached training (DESIGN.md §12)
 //!
-//! Each `train_*_cached` twin persists its grid of trained checkpoints in
-//! the content-addressed artifact store as a [`TrainedGrid`] (one
-//! [`ParameterBundle`] per `(fold, power)` job, keyed on the dataset's
-//! content hash plus every hyperparameter). On a warm store the pipeline
-//! skips training entirely and *replays*: it rebuilds each job's model from
-//! its seed, restores the checkpoint, and recomputes the held-out
-//! predictions — which are bit-identical to the freshly trained ones,
-//! because weights survive the JSON round-trip exactly (shortest-round-trip
-//! float formatting) and prediction is deterministic. Any checkpoint that
-//! does not fit the current job plan falls back to training that job, never
-//! to a panic.
+//! Given a cache, each `train_*_cached` pipeline persists its grid of
+//! trained checkpoints in the content-addressed artifact store as a
+//! [`TrainedGrid`] (one [`ParameterBundle`] per `(fold, power)` job, keyed
+//! on the dataset's content hash plus every hyperparameter); given `None`,
+//! it trains every job. On a warm store the pipeline skips training entirely
+//! and *replays*: it rebuilds each job's model from its seed, restores the
+//! checkpoint, and recomputes the held-out predictions — which are
+//! bit-identical to the freshly trained ones, because weights survive the
+//! JSON round-trip exactly (shortest-round-trip float formatting) and
+//! prediction is deterministic. Any checkpoint that does not fit the current
+//! job plan falls back to training that job, never to a panic.
 
 use crate::artifact::{ArtifactKey, DatasetCache};
 use crate::dataset::Dataset;
 use pnp_gnn::train::OptimizerKind;
 use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
 use pnp_graph::Vocabulary;
-use pnp_openmp::{parallel_map, parallel_map_indexed, Threads};
+use pnp_openmp::{parallel_map_indexed, Threads};
 use pnp_tensor::ParameterBundle;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -368,25 +368,27 @@ pub struct TrainedGrid {
     pub weights: Vec<ParameterBundle>,
 }
 
-/// The cached-grid choreography shared by every `train_*_cached` pipeline:
-/// load the [`TrainedGrid`] for `key` (training and saving on a miss),
-/// retrain-and-overwrite when the cached grid does not match the current
-/// job plan (`coords`), then replay each job — restore its checkpoint into
-/// a freshly seeded model from `make_model`, with a per-job retraining
-/// fallback — and return the per-job predictions. All closures are indexed
-/// by job position, matching `coords`.
-#[allow(clippy::too_many_arguments)]
+/// The job-grid choreography shared by every `train_*_cached` pipeline,
+/// returning the per-job predictions. Without a cache each job trains and
+/// predicts. With one, the [`TrainedGrid`] for `key` is loaded (trained and
+/// saved on a miss) and retrained-and-overwritten when it does not match
+/// the current job plan (`coords`); each job then restores its checkpoint
+/// into a freshly seeded model from `make_model`, with a per-job retraining
+/// fallback, and predicts. All closures are indexed by job position,
+/// matching `coords`.
 fn replay_or_train(
-    cache: &DatasetCache,
-    key: ArtifactKey,
+    cached: Option<(&DatasetCache, ArtifactKey)>,
     pipeline: &str,
     coords: Vec<(usize, usize)>,
     threads: Threads,
-    train_job: &(impl Fn(usize) -> PnPModel + Sync),
     make_model: &(impl Fn(usize) -> PnPModel + Sync),
+    train_job: &(impl Fn(usize) -> PnPModel + Sync),
     predict_job: &(impl Fn(usize, &PnPModel) -> Vec<usize> + Sync),
 ) -> Vec<Vec<usize>> {
     let n = coords.len();
+    let Some((cache, key)) = cached else {
+        return parallel_map_indexed(n, threads, |j| predict_job(j, &train_job(j)));
+    };
     let train_grid = || TrainedGrid {
         jobs: coords.clone(),
         weights: parallel_map_indexed(n, threads, |j| train_job(j).all_weights()),
@@ -466,18 +468,9 @@ fn fold_region_splits(ds: &Dataset, folds: &FoldPlan) -> Vec<(usize, Vec<usize>,
 /// [`TrainSettings::train_threads`] workers; each job keeps its serial seed
 /// (`fold_idx * 16 + power_idx`) and predictions are written back by
 /// `(region, power)` index, so the output is bit-identical for every worker
-/// count (DESIGN.md §10).
-pub fn train_scenario1_models(
-    ds: &Dataset,
-    settings: &TrainSettings,
-    use_dynamic: bool,
-) -> Vec<Vec<usize>> {
-    train_scenario1_models_cached(ds, settings, use_dynamic, None)
-}
-
-/// [`train_scenario1_models`] with an optional artifact cache: on a warm
-/// store the `fold × power` grid of checkpoints is loaded and replayed
-/// instead of trained, producing bit-identical predictions (DESIGN.md §12).
+/// count (DESIGN.md §10). With a cache (`None` trains every job), a warm
+/// store loads and replays the grid of checkpoints instead of training,
+/// producing bit-identical predictions (DESIGN.md §12).
 pub fn train_scenario1_models_cached(
     ds: &Dataset,
     settings: &TrainSettings,
@@ -501,71 +494,52 @@ pub fn train_scenario1_models_cached(
         })
         .collect();
 
-    let train_job = |fold_idx: usize, power_idx: usize, train_idx: &[usize]| -> PnPModel {
-        let samples = scenario1_samples(
-            ds,
-            power_idx,
-            train_idx,
-            if use_dynamic { Some(false) } else { None },
-        );
-        let mut model = PnPModel::new(settings.model_config(
+    let make_model = |j: usize| {
+        let (fold_idx, power_idx, _, _) = &jobs[j];
+        PnPModel::new(settings.model_config(
             num_classes,
             num_dynamic,
             (fold_idx * 16 + power_idx) as u64,
-        ));
+        ))
+    };
+    let train_job = |j: usize| {
+        let (_, power_idx, train_idx, _) = &jobs[j];
+        let samples = scenario1_samples(
+            ds,
+            *power_idx,
+            train_idx,
+            if use_dynamic { Some(false) } else { None },
+        );
+        let mut model = make_model(j);
         let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
         trainer.train(&mut model, &samples);
         model
     };
     // The whole validation fold predicts through one fused block-diagonal
     // forward — bit-identical to the per-region loop (DESIGN.md §15).
-    let predict_job =
-        |power_idx: usize, train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
-            let prior = class_prior_scenario1(ds, power_idx, train_idx);
-            let graphs: Vec<&pnp_graph::EncodedGraph> =
-                val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
-            let dynamic: Option<Vec<Vec<f32>>> = use_dynamic.then(|| {
-                val_idx
-                    .iter()
-                    .map(|&i| ds.dynamic_features(i, power_idx, false))
-                    .collect()
-            });
-            predict_with_prior_batch(model, &graphs, dynamic.as_deref(), &prior)
-        };
-
-    let job_predictions = match cache {
-        None => parallel_map(
-            &jobs,
-            settings.train_threads,
-            |(fold_idx, power_idx, train_idx, val_idx)| {
-                let model = train_job(*fold_idx, *power_idx, train_idx);
-                predict_job(*power_idx, train_idx, val_idx, &model)
-            },
-        ),
-        Some(cache) => replay_or_train(
-            cache,
-            cache.scenario1_key(settings, use_dynamic),
-            "scenario1",
-            jobs.iter().map(|(f, p, _, _)| (*f, *p)).collect(),
-            settings.train_threads,
-            &|j| {
-                let (fold_idx, power_idx, train_idx, _) = &jobs[j];
-                train_job(*fold_idx, *power_idx, train_idx)
-            },
-            &|j| {
-                let (fold_idx, power_idx, _, _) = &jobs[j];
-                PnPModel::new(settings.model_config(
-                    num_classes,
-                    num_dynamic,
-                    (fold_idx * 16 + power_idx) as u64,
-                ))
-            },
-            &|j, model| {
-                let (_, power_idx, train_idx, val_idx) = &jobs[j];
-                predict_job(*power_idx, train_idx, val_idx, model)
-            },
-        ),
+    let predict_job = |j: usize, model: &PnPModel| {
+        let (_, power_idx, train_idx, val_idx) = &jobs[j];
+        let prior = class_prior_scenario1(ds, *power_idx, train_idx);
+        let graphs: Vec<&pnp_graph::EncodedGraph> =
+            val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
+        let dynamic: Option<Vec<Vec<f32>>> = use_dynamic.then(|| {
+            val_idx
+                .iter()
+                .map(|&i| ds.dynamic_features(i, *power_idx, false))
+                .collect()
+        });
+        predict_with_prior_batch(model, &graphs, dynamic.as_deref(), &prior)
     };
+
+    let job_predictions = replay_or_train(
+        cache.map(|c| (c, c.scenario1_key(settings, use_dynamic))),
+        "scenario1",
+        jobs.iter().map(|(f, p, _, _)| (*f, *p)).collect(),
+        settings.train_threads,
+        &make_model,
+        &train_job,
+        &predict_job,
+    );
 
     for ((_, power_idx, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
         for (&i, class) in val_idx.iter().zip(preds) {
@@ -582,17 +556,9 @@ pub fn train_scenario1_models_cached(
 /// Folds are independent jobs and fan out over
 /// [`TrainSettings::train_threads`] workers with per-fold seeds
 /// (`0x2000 + fold_idx`) and indexed write-back — output is bit-identical
-/// for every worker count (DESIGN.md §10).
-pub fn train_scenario2_model(
-    ds: &Dataset,
-    settings: &TrainSettings,
-    use_dynamic: bool,
-) -> Vec<usize> {
-    train_scenario2_model_cached(ds, settings, use_dynamic, None)
-}
-
-/// [`train_scenario2_model`] with an optional artifact cache: a warm store
-/// replays the per-fold checkpoints instead of training (DESIGN.md §12).
+/// for every worker count (DESIGN.md §10). With a cache (`None` trains
+/// every job), a warm store replays the per-fold checkpoints instead of
+/// training (DESIGN.md §12).
 pub fn train_scenario2_model_cached(
     ds: &Dataset,
     settings: &TrainSettings,
@@ -610,8 +576,12 @@ pub fn train_scenario2_model_cached(
 
     let jobs = fold_region_splits(ds, &folds);
 
-    let train_job = |fold_idx: usize, train_idx: &[usize]| -> PnPModel {
-        let samples: Vec<TrainingSample> = train_idx
+    let make_model = |j: usize| {
+        PnPModel::new(settings.model_config(num_classes, num_dynamic, 0x2000 + jobs[j].0 as u64))
+    };
+    let train_job = |j: usize| {
+        let samples: Vec<TrainingSample> = jobs[j]
+            .1
             .iter()
             .map(|&i| {
                 let (p, c) = ds.sweeps[i].best_edp_point();
@@ -623,11 +593,7 @@ pub fn train_scenario2_model_cached(
                 }
             })
             .collect();
-        let mut model = PnPModel::new(settings.model_config(
-            num_classes,
-            num_dynamic,
-            0x2000 + fold_idx as u64,
-        ));
+        let mut model = make_model(j);
         // Table II: the EDP experiments use plain Adam.
         let trainer = Trainer::new(settings.train_config(OptimizerKind::Adam, false));
         trainer.train(&mut model, &samples);
@@ -635,7 +601,8 @@ pub fn train_scenario2_model_cached(
     };
     // Fused fold prediction, bit-identical to the per-region loop
     // (DESIGN.md §15).
-    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
+    let predict_job = |j: usize, model: &PnPModel| {
+        let (_, train_idx, val_idx) = &jobs[j];
         let prior = class_prior_scenario2(ds, train_idx);
         let graphs: Vec<&pnp_graph::EncodedGraph> =
             val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
@@ -648,39 +615,15 @@ pub fn train_scenario2_model_cached(
         predict_with_prior_batch(model, &graphs, dynamic.as_deref(), &prior)
     };
 
-    let job_predictions = match cache {
-        None => parallel_map(
-            &jobs,
-            settings.train_threads,
-            |(fold_idx, train_idx, val_idx)| {
-                let model = train_job(*fold_idx, train_idx);
-                predict_job(train_idx, val_idx, &model)
-            },
-        ),
-        Some(cache) => replay_or_train(
-            cache,
-            cache.scenario2_key(settings, use_dynamic),
-            "scenario2",
-            jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
-            settings.train_threads,
-            &|j| {
-                let (fold_idx, train_idx, _) = &jobs[j];
-                train_job(*fold_idx, train_idx)
-            },
-            &|j| {
-                let (fold_idx, _, _) = &jobs[j];
-                PnPModel::new(settings.model_config(
-                    num_classes,
-                    num_dynamic,
-                    0x2000 + *fold_idx as u64,
-                ))
-            },
-            &|j, model| {
-                let (_, train_idx, val_idx) = &jobs[j];
-                predict_job(train_idx, val_idx, model)
-            },
-        ),
-    };
+    let job_predictions = replay_or_train(
+        cache.map(|c| (c, c.scenario2_key(settings, use_dynamic))),
+        "scenario2",
+        jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
+        settings.train_threads,
+        &make_model,
+        &train_job,
+        &predict_job,
+    );
 
     for ((_, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
         for (&i, class) in val_idx.iter().zip(preds) {
@@ -699,16 +642,7 @@ pub fn train_scenario2_model_cached(
 /// Folds fan out over [`TrainSettings::train_threads`] workers exactly like
 /// the scenario pipelines, with the serial per-fold seeds
 /// (`0x4000 + fold_idx * 8 + held_out_power`) — output is bit-identical for
-/// every worker count.
-pub fn train_unseen_power(
-    ds: &Dataset,
-    settings: &TrainSettings,
-    held_out_power: usize,
-) -> Vec<usize> {
-    train_unseen_power_cached(ds, settings, held_out_power, None)
-}
-
-/// [`train_unseen_power`] with an optional artifact cache: a warm store
+/// every worker count. With a cache (`None` trains every job), a warm store
 /// replays the per-fold checkpoints instead of training (DESIGN.md §12).
 pub fn train_unseen_power_cached(
     ds: &Dataset,
@@ -726,9 +660,16 @@ pub fn train_unseen_power_cached(
 
     let jobs = fold_region_splits(ds, &folds);
 
-    let train_job = |fold_idx: usize, train_idx: &[usize]| -> PnPModel {
+    let make_model = |j: usize| {
+        PnPModel::new(settings.model_config(
+            num_classes,
+            6,
+            0x4000 + (jobs[j].0 * 8 + held_out_power) as u64,
+        ))
+    };
+    let train_job = |j: usize| {
         let mut samples = Vec::new();
-        for &i in train_idx {
+        for &i in &jobs[j].1 {
             for &p in &train_powers {
                 samples.push(TrainingSample {
                     graph: ds.regions[i].graph.clone(),
@@ -738,16 +679,13 @@ pub fn train_unseen_power_cached(
                 });
             }
         }
-        let mut model = PnPModel::new(settings.model_config(
-            num_classes,
-            6,
-            0x4000 + (fold_idx * 8 + held_out_power) as u64,
-        ));
+        let mut model = make_model(j);
         let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
         trainer.train(&mut model, &samples);
         model
     };
-    let predict_job = |train_idx: &[usize], val_idx: &[usize], model: &PnPModel| {
+    let predict_job = |j: usize, model: &PnPModel| {
+        let (_, train_idx, val_idx) = &jobs[j];
         // The prior for the unseen cap is a proximity-weighted average
         // over the caps observed during training (measurements at the
         // held-out cap are, by construction, unavailable). Inverse-
@@ -785,39 +723,15 @@ pub fn train_unseen_power_cached(
         predict_with_prior_batch(model, &graphs, Some(&dynamic), &prior)
     };
 
-    let job_predictions = match cache {
-        None => parallel_map(
-            &jobs,
-            settings.train_threads,
-            |(fold_idx, train_idx, val_idx)| {
-                let model = train_job(*fold_idx, train_idx);
-                predict_job(train_idx, val_idx, &model)
-            },
-        ),
-        Some(cache) => replay_or_train(
-            cache,
-            cache.unseen_power_key(settings, held_out_power),
-            "unseen_power",
-            jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
-            settings.train_threads,
-            &|j| {
-                let (fold_idx, train_idx, _) = &jobs[j];
-                train_job(*fold_idx, train_idx)
-            },
-            &|j| {
-                let (fold_idx, _, _) = &jobs[j];
-                PnPModel::new(settings.model_config(
-                    num_classes,
-                    6,
-                    0x4000 + (fold_idx * 8 + held_out_power) as u64,
-                ))
-            },
-            &|j, model| {
-                let (_, train_idx, val_idx) = &jobs[j];
-                predict_job(train_idx, val_idx, model)
-            },
-        ),
-    };
+    let job_predictions = replay_or_train(
+        cache.map(|c| (c, c.unseen_power_key(settings, held_out_power))),
+        "unseen_power",
+        jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
+        settings.train_threads,
+        &make_model,
+        &train_job,
+        &predict_job,
+    );
 
     for ((_, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
         for (&i, class) in val_idx.iter().zip(preds) {

@@ -10,12 +10,11 @@
 //! [`InvariantStatus::UnexpectedPass`] the day the gap closes, so the list
 //! cannot rot silently).
 //!
-//! The `validate_paper` binary in `pnp-bench` drives [`run_full_validation`]
+//! The `validate_paper` binary in `pnp-bench` drives [`run`]
 //! and writes the report as `VALIDATION.json`; the `validate` CI job fails
 //! the build on any non-expected failure. `tests/validation_invariants.rs`
 //! runs the same pipeline on a reduced 6-application suite.
 
-use crate::artifact::ArtifactStore;
 use crate::dataset::Dataset;
 use crate::experiments::ablations::AblationResults;
 use crate::experiments::edp::EdpResults;
@@ -24,7 +23,7 @@ use crate::experiments::ood::OodResults;
 use crate::experiments::power_constrained::PowerConstrainedResults;
 use crate::experiments::transfer::TransferResults;
 use crate::experiments::unseen_power::UnseenPowerResults;
-use crate::experiments::{self, ExperimentError};
+use crate::experiments::{self, ExperimentError, RunCtx};
 use crate::report::TextTable;
 use crate::training::{FoldPlan, TrainSettings};
 use pnp_benchmarks::Application;
@@ -1049,13 +1048,13 @@ pub fn check_edge_cases(v: &mut Validator, settings: &TrainSettings) {
     let machine = haswell();
     let empty =
         Dataset::build_with_threads(&machine, &[], &Vocabulary::standard(), Threads::Fixed(1));
-    let all_typed = experiments::power_constrained::try_run_on_dataset(&empty, settings).err()
+    let all_typed = experiments::power_constrained::run(&empty, settings, None).err()
         == Some(ExperimentError::EmptyDataset)
-        && experiments::edp::try_run_on_dataset(&empty, settings).err()
+        && experiments::edp::run(&empty, settings, None).err()
             == Some(ExperimentError::EmptyDataset)
-        && experiments::unseen_power::try_run_on_dataset(&empty, settings).err()
+        && experiments::unseen_power::run(&empty, settings, None).err()
             == Some(ExperimentError::EmptyDataset)
-        && experiments::ablations::try_run_on_dataset(&empty, settings).err()
+        && experiments::ablations::run(&empty, settings, None).err()
             == Some(ExperimentError::EmptyDataset);
     v.check(
         "edge.empty_dataset_is_typed_error",
@@ -1101,76 +1100,26 @@ pub fn check_edge_cases(v: &mut Validator, settings: &TrainSettings) {
     );
 }
 
-/// Options for [`run_full_validation`].
-pub struct ValidationOptions {
-    /// Training settings (quick or full).
-    pub settings: TrainSettings,
-    /// Worker count for the exhaustive sweeps.
-    pub sweep_threads: Threads,
-    /// Truncate the application suite to the first `n` apps (`None` = full
-    /// 30-application suite).
-    pub apps: Option<usize>,
-    /// Optional content-addressed artifact store (DESIGN.md §12): when warm
-    /// it serves both datasets and every trained-model grid, turning the
-    /// harness into load-and-evaluate — with a byte-identical verdict list,
-    /// since every cached artifact is bit-identical to a fresh computation
-    /// (the transfer report is cached as-measured).
-    pub store: Option<ArtifactStore>,
-    /// Generator seed for the out-of-distribution corpus
-    /// ([`DEFAULT_OOD_SEED`] unless overridden via `--ood-seed`).
-    pub ood_seed: u64,
-    /// Out-of-distribution corpus size ([`DEFAULT_OOD_KERNELS`] unless
-    /// overridden via `--ood-kernels`).
-    pub ood_kernels: usize,
-}
-
-/// Runs every figure/table experiment through the shared `run_on_dataset`
-/// entry points and checks all encoded invariants, returning the report.
-pub fn run_full_validation(opts: &ValidationOptions) -> ValidationReport {
-    let mut apps = pnp_benchmarks::full_suite();
-    if let Some(n) = opts.apps {
-        apps.truncate(n);
-    }
-    run_validation_on_suite_with_store(
-        &apps,
-        &opts.settings,
-        opts.sweep_threads,
-        opts.store.as_ref(),
-        opts.ood_seed,
-        opts.ood_kernels,
-    )
-}
-
-/// [`run_full_validation`] over an explicit application list (the reduced
-/// 6-app suite of the integration tests enters here), with the default
-/// out-of-distribution corpus.
-pub fn run_validation_on_suite(
+/// Runs every figure/table experiment through the drivers' `run` entry
+/// points over `apps` (the full 30-application suite, or a reduced one such
+/// as the 6-app suite CI gates) and checks all encoded invariants, returning
+/// the report. The out-of-distribution corpus is
+/// `synthetic_suite(ood_seed, ood_kernels)` ([`DEFAULT_OOD_SEED`] /
+/// [`DEFAULT_OOD_KERNELS`] unless overridden).
+///
+/// With a store in `ctx` (DESIGN.md §12), a warm store serves every dataset
+/// and trained artifact, turning the harness into load-and-evaluate — with
+/// a byte-identical verdict list, since every cached artifact is
+/// bit-identical to a fresh computation (the transfer report is cached
+/// as-measured). A cold run writes exactly the artifacts a warm one reads.
+pub fn run(
     apps: &[Application],
     settings: &TrainSettings,
-    sweep_threads: Threads,
-) -> ValidationReport {
-    run_validation_on_suite_with_store(
-        apps,
-        settings,
-        sweep_threads,
-        None,
-        DEFAULT_OOD_SEED,
-        DEFAULT_OOD_KERNELS,
-    )
-}
-
-/// [`run_validation_on_suite`] with an optional artifact store and an
-/// explicit out-of-distribution corpus (`ood_seed`, `ood_kernels`).
-pub fn run_validation_on_suite_with_store(
-    apps: &[Application],
-    settings: &TrainSettings,
-    sweep_threads: Threads,
-    store: Option<&ArtifactStore>,
+    ctx: &RunCtx,
     ood_seed: u64,
     ood_kernels: usize,
 ) -> ValidationReport {
     let mut v = Validator::for_suite(apps.len());
-    let vocab = Vocabulary::standard();
 
     check_hyperparameters(&mut v);
     check_edge_cases(&mut v, settings);
@@ -1182,26 +1131,20 @@ pub fn run_validation_on_suite_with_store(
     for machine in &machines {
         let space = SearchSpace::for_machine(machine);
         check_search_space(&mut v, machine, &space);
-        let ds = match store {
-            Some(store) => store.load_or_build_dataset(machine, apps, &vocab, sweep_threads),
-            None => Dataset::build_with_threads(machine, apps, &vocab, sweep_threads),
-        };
+        let ds = ctx.dataset(machine, apps);
         check_dataset_invariants(&mut v, &ds);
         datasets.push(ds);
     }
     let (ds_haswell, ds_skylake) = (&datasets[0], &datasets[1]);
     // One cache handle per dataset (each binds the dataset's content hash,
     // computed once here and reused by every training pipeline below).
-    let caches: Vec<_> = datasets
-        .iter()
-        .map(|ds| store.map(|s| s.for_dataset(ds)))
-        .collect();
+    let caches: Vec<_> = datasets.iter().map(|ds| ctx.cache(ds)).collect();
     let (cache_haswell, cache_skylake) = (caches[0].as_ref(), caches[1].as_ref());
 
     // One failing meta-invariant per driver that cannot run at all — the
     // harness itself must survive degenerate suites (e.g. `--apps 0`) and
-    // report them as verdicts, not panics, so it uses the typed
-    // `try_run_on_dataset` twins throughout.
+    // report them as verdicts, not panics, which the drivers' typed errors
+    // make possible.
     let driver_failed = |v: &mut Validator, tag: &str, cite: &str, err: &ExperimentError| {
         v.check(
             &format!("{tag}.driver_ran"),
@@ -1217,10 +1160,10 @@ pub fn run_validation_on_suite_with_store(
         (ds_haswell, cache_haswell, "fig2", "fig5"),
         (ds_skylake, cache_skylake, "fig3", "fig4"),
     ] {
-        match experiments::power_constrained::try_run_on_dataset_cached(ds, settings, cache) {
+        match experiments::power_constrained::run(ds, settings, cache) {
             Ok(pc) => {
                 check_power_constrained(&mut v, pc_tag, &pc);
-                match experiments::unseen_power::try_run_on_dataset_cached(ds, settings, cache) {
+                match experiments::unseen_power::run(ds, settings, cache) {
                     Ok(up) => check_unseen_power(&mut v, up_tag, &up, &pc),
                     Err(e) => driver_failed(&mut v, up_tag, "Fig. 4/5", &e),
                 }
@@ -1237,7 +1180,7 @@ pub fn run_validation_on_suite_with_store(
         (ds_haswell, cache_haswell, "edp.haswell"),
         (ds_skylake, cache_skylake, "edp.skylake"),
     ] {
-        match experiments::edp::try_run_on_dataset_cached(ds, settings, cache) {
+        match experiments::edp::run(ds, settings, cache) {
             Ok(edp) => check_edp(&mut v, tag, &edp),
             Err(e) => driver_failed(&mut v, tag, "Fig. 6/7 / §IV-C", &e),
         }
@@ -1245,30 +1188,21 @@ pub fn run_validation_on_suite_with_store(
 
     // §I motivating example (its own single-region sweep, independent of
     // the validation suite).
-    let motivating = experiments::motivating::run_with_store(sweep_threads, store);
+    let motivating = experiments::motivating::run(ctx);
     check_motivating(&mut v, &motivating);
 
     // §IV-B transfer learning and the DESIGN.md §6 ablations need regions
     // to train on; on a degenerate suite they are reported, not run.
-    if ds_haswell.is_empty() || ds_skylake.is_empty() {
-        driver_failed(
-            &mut v,
-            "transfer",
-            "§IV-B (transfer learning)",
-            &ExperimentError::EmptyDataset,
-        );
-    } else {
-        let power_idx = ds_haswell.space.power_levels.len() - 1;
-        let transfer: TransferResults = experiments::transfer::run_on_datasets_cached(
-            ds_haswell,
-            ds_skylake,
-            settings,
-            power_idx,
-            cache_haswell.zip(cache_skylake),
-        );
-        check_transfer(&mut v, &transfer);
+    match experiments::transfer::run(
+        ds_haswell,
+        ds_skylake,
+        settings,
+        cache_haswell.zip(cache_skylake),
+    ) {
+        Ok(transfer) => check_transfer(&mut v, &transfer),
+        Err(e) => driver_failed(&mut v, "transfer", "§IV-B (transfer learning)", &e),
     }
-    match experiments::ablations::try_run_on_dataset_cached(ds_haswell, settings, cache_haswell) {
+    match experiments::ablations::run(ds_haswell, settings, cache_haswell) {
         Ok(ablations) => check_ablations(&mut v, &ablations),
         Err(e) => driver_failed(&mut v, "ablations", "DESIGN.md §6 (ablations)", &e),
     }
@@ -1277,16 +1211,13 @@ pub fn run_validation_on_suite_with_store(
     // kernels (DESIGN.md §13). The corpus-level checks run unconditionally;
     // the accuracy gate needs a non-degenerate training suite.
     check_generated_corpus(&mut v, ood_seed, ood_kernels);
-    let eval = experiments::ood::build_synthetic_dataset(
+    let eval = ctx.dataset(
         &haswell(),
-        ood_seed,
-        ood_kernels,
-        sweep_threads,
-        store,
+        &pnp_benchmarks::synthetic_suite(ood_seed, ood_kernels),
     );
     check_dataset_invariants_tagged(&mut v, "ood.dataset", &eval);
-    let cache_eval = store.map(|s| s.for_dataset(&eval));
-    let ood = match experiments::ood::try_run_on_datasets_cached(
+    let cache_eval = ctx.cache(&eval);
+    let ood = match experiments::ood::run(
         ds_haswell,
         &eval,
         settings,

@@ -4,7 +4,7 @@
 use pnp_benchmarks::full_suite;
 use pnp_core::dataset::Dataset;
 use pnp_core::pnp::{PnPTuner, TunerMode};
-use pnp_core::training::{train_scenario1_models, FoldPlan, TrainSettings};
+use pnp_core::training::{train_scenario1_models_cached, FoldPlan, TrainSettings};
 use pnp_graph::Vocabulary;
 use pnp_machine::haswell;
 
@@ -32,7 +32,7 @@ fn fast_settings() -> TrainSettings {
 fn loocv_predictions_are_valid_classes_and_add_value() {
     let ds = small_dataset();
     let settings = fast_settings();
-    let preds = train_scenario1_models(&ds, &settings, false);
+    let preds = train_scenario1_models_cached(&ds, &settings, false, None);
     assert_eq!(preds.len(), ds.len());
 
     let mut pnp_speedups = Vec::new();

@@ -8,10 +8,10 @@ use pnp::benchmarks::builders::{matmul_kernel, small_boundary_kernel, streaming_
 use pnp::benchmarks::Application;
 use pnp::core::artifact::ArtifactStore;
 use pnp::core::training::{
-    train_scenario1_models, train_scenario1_models_cached, train_scenario2_model,
-    train_scenario2_model_cached, train_unseen_power, train_unseen_power_cached, TrainSettings,
+    train_scenario1_models_cached, train_scenario2_model_cached, train_unseen_power_cached,
+    TrainSettings,
 };
-use pnp::core::Dataset;
+use pnp::core::{Dataset, RunCtx};
 use pnp::graph::Vocabulary;
 use pnp::machine::haswell;
 use pnp::openmp::Threads;
@@ -115,6 +115,27 @@ fn cached_dataset_bytes_equal_freshly_built_bytes() {
         (1, 0, 0),
         "warm run must not rebuild"
     );
+
+    // The drivers' single dataset entry point gives the same bytes with a
+    // (warm) store and without one.
+    let no_store = RunCtx {
+        sweep_threads: Threads::Fixed(1),
+        store: None,
+    };
+    let with_store = RunCtx {
+        sweep_threads: Threads::Fixed(1),
+        store: Some(tmp.open()),
+    };
+    let built = no_store.dataset(&machine, &apps);
+    let served = with_store.dataset(&machine, &apps);
+    assert_eq!(serde_json::to_string(&built).unwrap(), fresh_bytes);
+    assert_eq!(serde_json::to_string(&served).unwrap(), fresh_bytes);
+    assert_eq!(with_store.store.as_ref().unwrap().stats().hits, 1);
+    assert!(no_store.cache(&built).is_none());
+    assert_eq!(
+        with_store.cache(&served).unwrap().dataset_sha256(),
+        pnp::core::dataset_fingerprint(&built)
+    );
 }
 
 #[test]
@@ -124,10 +145,10 @@ fn warm_training_replays_bit_identical_predictions() {
     let settings = tiny_settings();
 
     // Ground truth: the uncached pipelines.
-    let s1 = train_scenario1_models(&ds, &settings, false);
-    let s1_dyn = train_scenario1_models(&ds, &settings, true);
-    let s2 = train_scenario2_model(&ds, &settings, false);
-    let up = train_unseen_power(&ds, &settings, 0);
+    let s1 = train_scenario1_models_cached(&ds, &settings, false, None);
+    let s1_dyn = train_scenario1_models_cached(&ds, &settings, true, None);
+    let s2 = train_scenario2_model_cached(&ds, &settings, false, None);
+    let up = train_unseen_power_cached(&ds, &settings, 0, None);
 
     // Cold cached run: trains, saves, and must agree with the uncached run.
     let store = tmp.open();
@@ -205,7 +226,7 @@ fn hyperparameter_change_misses_cleanly() {
     // never a stale hit.
     let mut longer = settings.clone();
     longer.epochs += 1;
-    let fresh = train_scenario1_models(&ds, &longer, false);
+    let fresh = train_scenario1_models_cached(&ds, &longer, false, None);
     let store2 = tmp.open();
     let cache2 = store2.for_dataset(&ds);
     assert_eq!(
@@ -223,7 +244,7 @@ fn corrupted_grid_artifact_falls_back_to_retraining() {
     let tmp = TempStore::new("corrupt_grid");
     let ds = tiny_dataset();
     let settings = tiny_settings();
-    let baseline = train_scenario1_models(&ds, &settings, false);
+    let baseline = train_scenario1_models_cached(&ds, &settings, false, None);
 
     let store = tmp.open();
     let cache = store.for_dataset(&ds);
@@ -261,7 +282,7 @@ fn force_rebuild_retrains_and_overwrites() {
     let tmp = TempStore::new("force_rebuild");
     let ds = tiny_dataset();
     let settings = tiny_settings();
-    let baseline = train_scenario1_models(&ds, &settings, false);
+    let baseline = train_scenario1_models_cached(&ds, &settings, false, None);
 
     let store = tmp.open();
     let cache = store.for_dataset(&ds);
@@ -291,7 +312,7 @@ fn force_rebuild_retrains_and_overwrites() {
 /// the transfer experiment, whose measured report is cached as-is.
 #[test]
 fn warm_validation_report_is_byte_identical_to_cold() {
-    use pnp::core::validate::run_validation_on_suite_with_store;
+    use pnp::core::validate;
 
     let tmp = TempStore::new("warm_validation");
     let apps: Vec<_> = pnp::benchmarks::full_suite().into_iter().take(2).collect();
@@ -300,30 +321,20 @@ fn warm_validation_report_is_byte_identical_to_cold() {
     // invariant's floor — this test asserts byte-identity and store stats,
     // not verdicts, and a small corpus keeps the double run cheap.
 
-    let cold_store = tmp.open();
-    let cold = run_validation_on_suite_with_store(
-        &apps,
-        &settings,
-        Threads::Fixed(1),
-        Some(&cold_store),
-        0xD17A,
-        6,
-    );
+    let ctx = |store| RunCtx {
+        sweep_threads: Threads::Fixed(1),
+        store: Some(store),
+    };
+    let cold_ctx = ctx(tmp.open());
+    let cold = validate::run(&apps, &settings, &cold_ctx, 0xD17A, 6);
     assert!(
-        cold_store.stats().writes > 0,
+        cold_ctx.store.as_ref().unwrap().stats().writes > 0,
         "cold run must populate the store"
     );
 
-    let warm_store = tmp.open();
-    let warm = run_validation_on_suite_with_store(
-        &apps,
-        &settings,
-        Threads::Fixed(1),
-        Some(&warm_store),
-        0xD17A,
-        6,
-    );
-    let s = warm_store.stats();
+    let warm_ctx = ctx(tmp.open());
+    let warm = validate::run(&apps, &settings, &warm_ctx, 0xD17A, 6);
+    let s = warm_ctx.store.as_ref().unwrap().stats();
     assert_eq!(s.misses, 0, "warm run must not rebuild anything");
     assert_eq!(s.writes, 0);
     assert!(s.hits > 0);

@@ -1,6 +1,6 @@
 //! Determinism suite for the parallel LOOCV training fan-out.
 //!
-//! `train_scenario1_models` / `train_scenario2_model` fan independent
+//! `train_scenario1_models_cached` / `train_scenario2_model_cached` fan independent
 //! `(fold, power)` training jobs out across worker threads (DESIGN.md §10);
 //! these tests pin down the property that makes that safe to rely on: the
 //! trained models' predictions are **bit-identical for every worker count**.
@@ -13,7 +13,8 @@
 use pnp::benchmarks::full_suite;
 use pnp::core::dataset::Dataset;
 use pnp::core::training::{
-    train_scenario1_models, train_scenario2_model, train_unseen_power, TrainSettings,
+    train_scenario1_models_cached, train_scenario2_model_cached, train_unseen_power_cached,
+    TrainSettings,
 };
 use pnp::graph::Vocabulary;
 use pnp::machine::haswell;
@@ -47,17 +48,17 @@ fn settings_with_workers(workers: usize) -> TrainSettings {
 #[test]
 fn training_is_bit_identical_across_worker_counts() {
     let ds = small_dataset();
-    let s1_baseline = train_scenario1_models(&ds, &settings_with_workers(1), false);
-    let s2_baseline = train_scenario2_model(&ds, &settings_with_workers(1), false);
+    let s1_baseline = train_scenario1_models_cached(&ds, &settings_with_workers(1), false, None);
+    let s2_baseline = train_scenario2_model_cached(&ds, &settings_with_workers(1), false, None);
     for workers in [2usize, 8] {
         let settings = settings_with_workers(workers);
         assert_eq!(
-            train_scenario1_models(&ds, &settings, false),
+            train_scenario1_models_cached(&ds, &settings, false, None),
             s1_baseline,
             "scenario-1 predictions differ between 1 and {workers} training workers"
         );
         assert_eq!(
-            train_scenario2_model(&ds, &settings, false),
+            train_scenario2_model_cached(&ds, &settings, false, None),
             s2_baseline,
             "scenario-2 predictions differ between 1 and {workers} training workers"
         );
@@ -70,9 +71,9 @@ fn training_is_bit_identical_across_worker_counts() {
 #[test]
 fn dynamic_variant_is_bit_identical_across_worker_counts() {
     let ds = small_dataset();
-    let baseline = train_scenario1_models(&ds, &settings_with_workers(1), true);
+    let baseline = train_scenario1_models_cached(&ds, &settings_with_workers(1), true, None);
     assert_eq!(
-        train_scenario1_models(&ds, &settings_with_workers(4), true),
+        train_scenario1_models_cached(&ds, &settings_with_workers(4), true, None),
         baseline,
         "dynamic scenario-1 predictions differ between 1 and 4 training workers"
     );
@@ -85,9 +86,9 @@ fn dynamic_variant_is_bit_identical_across_worker_counts() {
 fn unseen_power_training_is_bit_identical_across_worker_counts() {
     let ds = small_dataset();
     for held_out in [0usize, ds.space.power_levels.len() - 1] {
-        let baseline = train_unseen_power(&ds, &settings_with_workers(1), held_out);
+        let baseline = train_unseen_power_cached(&ds, &settings_with_workers(1), held_out, None);
         assert_eq!(
-            train_unseen_power(&ds, &settings_with_workers(8), held_out),
+            train_unseen_power_cached(&ds, &settings_with_workers(8), held_out, None),
             baseline,
             "unseen-power predictions differ between 1 and 8 workers (cap {held_out})"
         );
@@ -105,9 +106,9 @@ fn parallel_matmul_does_not_change_trained_models() {
     let ds = small_dataset();
     let settings = settings_with_workers(2);
     set_matmul_threads(1);
-    let serial = train_scenario1_models(&ds, &settings, false);
+    let serial = train_scenario1_models_cached(&ds, &settings, false, None);
     set_matmul_threads(4);
-    let parallel = train_scenario1_models(&ds, &settings, false);
+    let parallel = train_scenario1_models_cached(&ds, &settings, false, None);
     set_matmul_threads(1);
     assert_eq!(
         parallel, serial,

@@ -2,7 +2,7 @@
 //! (`pnp_core::validate`, DESIGN.md §11).
 //!
 //! The heavyweight test drives the full harness — every figure/table
-//! experiment through the shared `run_on_dataset` entry points — on the
+//! experiment through its driver's `run` entry point — on the
 //! reduced 6-application suite (the same configuration the `validate` CI job
 //! gates on) and asserts that no invariant fails without a documented
 //! DESIGN.md §11 `expected_fail` entry. The lightweight tests pin down the
@@ -14,8 +14,10 @@ use pnp::core::dataset::{Dataset, Sweep};
 use pnp::core::experiments::{self, ExperimentError};
 use pnp::core::training::TrainSettings;
 use pnp::core::validate::{
-    is_expected_fail, run_validation_on_suite, InvariantStatus, ValidationReport,
+    self, is_expected_fail, InvariantStatus, ValidationReport, DEFAULT_OOD_KERNELS,
+    DEFAULT_OOD_SEED,
 };
+use pnp::core::RunCtx;
 use pnp::core::{checked_geomean, geomean};
 use pnp::graph::Vocabulary;
 use pnp::machine::{haswell, CounterSet, EnergySample};
@@ -89,35 +91,56 @@ fn degenerate_datasets_yield_typed_errors_not_panics() {
     let empty =
         Dataset::build_with_threads(&haswell(), &[], &Vocabulary::standard(), Threads::Fixed(1));
     assert_eq!(
-        experiments::power_constrained::try_run_on_dataset(&empty, &settings).unwrap_err(),
+        experiments::power_constrained::run(&empty, &settings, None).unwrap_err(),
         ExperimentError::EmptyDataset
     );
     assert_eq!(
-        experiments::edp::try_run_on_dataset(&empty, &settings).unwrap_err(),
+        experiments::edp::run(&empty, &settings, None).unwrap_err(),
         ExperimentError::EmptyDataset
     );
     assert_eq!(
-        experiments::unseen_power::try_run_on_dataset(&empty, &settings).unwrap_err(),
+        experiments::unseen_power::run(&empty, &settings, None).unwrap_err(),
         ExperimentError::EmptyDataset
     );
     assert_eq!(
-        experiments::ablations::try_run_on_dataset(&empty, &settings).unwrap_err(),
+        experiments::ablations::run(&empty, &settings, None).unwrap_err(),
         ExperimentError::EmptyDataset
     );
 
-    // A dataset whose search space lost its power levels trips the
-    // second guard instead of underflowing `len - 1`.
+    // The two-dataset drivers reject an empty side, whichever it is.
     let apps: Vec<_> = pnp::benchmarks::full_suite().into_iter().take(1).collect();
-    let mut ds = Dataset::build_with_threads(
+    let ds = Dataset::build_with_threads(
         &haswell(),
         &apps,
         &Vocabulary::standard(),
         Threads::Fixed(1),
     );
-    ds.space.power_levels.truncate(1);
+    for (source, target) in [(&empty, &ds), (&ds, &empty)] {
+        assert_eq!(
+            experiments::transfer::run(source, target, &settings, None).unwrap_err(),
+            ExperimentError::EmptyDataset
+        );
+        assert_eq!(
+            experiments::ood::run(source, target, &settings, 7, 0, None).unwrap_err(),
+            ExperimentError::EmptyDataset
+        );
+    }
+
+    // A dataset whose search space lost its power levels trips the
+    // second guard instead of underflowing `len - 1` (or, as a transfer
+    // target, instead of indexing past its levels at the source's TDP).
+    let mut short = ds.clone();
+    short.space.power_levels.truncate(1);
     assert_eq!(
-        experiments::unseen_power::try_run_on_dataset(&ds, &settings).unwrap_err(),
+        experiments::unseen_power::run(&short, &settings, None).unwrap_err(),
         ExperimentError::NotEnoughPowerLevels { needed: 2, have: 1 }
+    );
+    assert_eq!(
+        experiments::transfer::run(&ds, &short, &settings, None).unwrap_err(),
+        ExperimentError::NotEnoughPowerLevels {
+            needed: ds.space.power_levels.len(),
+            have: 1
+        }
     );
 }
 
@@ -126,7 +149,17 @@ fn degenerate_datasets_yield_typed_errors_not_panics() {
 #[test]
 fn reduced_suite_validation_has_no_undocumented_divergence() {
     let apps: Vec<_> = pnp::benchmarks::full_suite().into_iter().take(6).collect();
-    let report = run_validation_on_suite(&apps, &quick_settings(), Threads::Fixed(1));
+    let ctx = RunCtx {
+        sweep_threads: Threads::Fixed(1),
+        store: None,
+    };
+    let report = validate::run(
+        &apps,
+        &quick_settings(),
+        &ctx,
+        DEFAULT_OOD_SEED,
+        DEFAULT_OOD_KERNELS,
+    );
 
     // Nothing may fail without a DESIGN.md §11 entry.
     let hard: Vec<String> = report
