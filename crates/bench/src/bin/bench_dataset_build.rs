@@ -2,13 +2,14 @@
 //!
 //! Builds the dataset at a list of worker counts, measures wall time, checks
 //! that every build is bit-identical to the 1-thread baseline (serialized
-//! with `serde_json` and compared as strings), and writes the timings as
-//! machine-readable JSON — the perf trajectory CI uploads per run and the
-//! repository seeds in `BENCH_dataset_build.json`.
+//! with `serde_json` and compared as strings), and writes the timings as a
+//! [`pnp_bench::Trajectory`] — the perf trajectory CI uploads per run and
+//! the repository seeds in `BENCH_dataset_build.json`.
 //!
 //! ```text
 //! bench_dataset_build [--threads 1,2,4,8] [--apps N] [--machine haswell|skylake]
 //!                     [--repeats N] [--min-speedup S:T] [--out PATH]
+//!                     [--store DIR] [--force-rebuild] [--verify-store]
 //! ```
 //!
 //! Exits non-zero when any build differs from the baseline, so CI can use it
@@ -19,49 +20,13 @@
 //! with a warning when the host has fewer than `T` cores, where the speedup
 //! physically cannot materialize.
 
-use pnp_bench::{banner, enforce_min_speedup, report_store_stats, PerfHarnessOptions, Provenance};
+use pnp_bench::{banner, sweep, PerfHarnessOptions, Sample, Trajectory};
 use pnp_benchmarks::full_suite;
-use pnp_core::artifact::ArtifactStore;
 use pnp_core::dataset::Dataset;
 use pnp_graph::Vocabulary;
 use pnp_openmp::Threads;
-use serde::Serialize;
+use pnp_tuners::SearchSpace;
 use std::time::Instant;
-
-/// One measured build.
-#[derive(Clone, Debug, Serialize)]
-struct Run {
-    /// Worker count the dataset was built with.
-    threads: usize,
-    /// Best-of-`repeats` wall time in seconds.
-    wall_s: f64,
-    /// `wall_s(1 thread) / wall_s(this)` — the headline speedup.
-    speedup_vs_1t: f64,
-    /// Whether the serialized dataset is byte-equal to the 1-thread build.
-    identical_to_1t: bool,
-}
-
-/// The `BENCH_dataset_build.json` schema.
-#[derive(Clone, Debug, Serialize)]
-struct Report {
-    /// Benchmark identifier (always `"dataset_build"`).
-    bench: String,
-    /// Machine whose search space was swept.
-    machine: String,
-    /// Number of applications in the swept suite.
-    applications: usize,
-    /// Number of OpenMP regions (= parallel jobs).
-    regions: usize,
-    /// Simulations per region: `(configs + default) × power levels`.
-    simulations_per_region: usize,
-    /// Measurement provenance: git SHA, store-key schema version, and
-    /// `available_parallelism` of the measuring host (without spare cores
-    /// the speedups cannot materialize) — the same attribution contract as
-    /// `VALIDATION.json`'s context header.
-    context: Provenance,
-    /// Best-of-`repeats` timing per worker count.
-    runs: Vec<Run>,
-}
 
 fn main() {
     banner(
@@ -74,109 +39,33 @@ fn main() {
         apps.truncate(n);
     }
     let vocab = Vocabulary::standard();
-    let context = Provenance::capture();
-    let available = context.available_parallelism;
 
-    // The 1-thread build is always the determinism anchor and the speedup
-    // denominator, measured best-of-`repeats` like every other entry. The
-    // serial build is the most expensive one in the run, so it is timed
-    // exactly once here and reused for both the "1" list entry (when
-    // present) and the comparison baseline.
-    let mut wall_1t = f64::INFINITY;
-    let mut baseline_json = String::new();
-    let mut regions = 0;
-    let mut simulations_per_region = 0;
-    for r in 0..opts.repeats {
+    let runs = sweep(&opts.threads, opts.repeats, |workers| {
         let start = Instant::now();
-        let ds = Dataset::build_with_threads(&opts.machine, &apps, &vocab, Threads::Fixed(1));
-        wall_1t = wall_1t.min(start.elapsed().as_secs_f64());
-        if r == 0 {
-            regions = ds.len();
-            simulations_per_region =
-                (ds.space.configs_per_power() + 1) * ds.space.power_levels.len();
-            baseline_json = serde_json::to_string(&ds).expect("dataset serializes");
-        }
+        let ds = Dataset::build_with_threads(&opts.machine, &apps, &vocab, Threads::Fixed(workers));
+        let wall_s = start.elapsed().as_secs_f64();
+        Sample::new(
+            wall_s,
+            serde_json::to_string(&ds).expect("dataset serializes"),
+        )
+    });
+
+    // This harness *measures* cold builds, so the sweep never reads the
+    // store — but a configured store is warmed on the way out with the
+    // dataset any warm consumer would compute.
+    if opts.ctx.store.is_some() {
+        opts.ctx.dataset(&opts.machine, &apps);
     }
 
-    let mut runs = Vec::new();
-    let mut all_identical = true;
-    for &threads in &opts.threads {
-        let (best, identical) = if threads == 1 {
-            (wall_1t, true)
-        } else {
-            let mut best = f64::INFINITY;
-            let mut identical = true;
-            for _ in 0..opts.repeats {
-                let start = Instant::now();
-                let ds = Dataset::build_with_threads(
-                    &opts.machine,
-                    &apps,
-                    &vocab,
-                    Threads::Fixed(threads),
-                );
-                best = best.min(start.elapsed().as_secs_f64());
-                identical &=
-                    serde_json::to_string(&ds).expect("dataset serializes") == baseline_json;
-            }
-            (best, identical)
-        };
-        all_identical &= identical;
-        eprintln!("[bench_dataset_build] {threads:>2} threads: {best:.3} s  identical={identical}");
-        runs.push(Run {
-            threads,
-            wall_s: best,
-            speedup_vs_1t: wall_1t / best,
-            identical_to_1t: identical,
-        });
-    }
-    let report = Report {
-        bench: "dataset_build".into(),
-        machine: opts.machine.name.clone(),
-        applications: apps.len(),
-        regions,
-        simulations_per_region,
-        context,
-        runs,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&opts.out, &json).expect("write timing JSON");
-    println!("{json}");
-    eprintln!("[bench_dataset_build] wrote {}", opts.out);
-
-    // This harness *measures* cold builds, so it never reads the store —
-    // but the serial baseline it just built is byte-identical to what any
-    // warm consumer would compute, so warm the store with it on the way out.
-    if let Some(store) = opts.open_store() {
-        let key = ArtifactStore::dataset_key(&opts.machine, &apps, &vocab);
-        match store.store().save_bytes(&key, baseline_json.as_bytes()) {
-            Ok(path) => eprintln!(
-                "[bench_dataset_build] warmed store with the measured dataset: {}",
-                path.display()
-            ),
-            Err(e) => eprintln!("[bench_dataset_build] could not warm store: {e}"),
-        }
-        // This harness only ever writes, so verify mismatches cannot occur
-        // today — but keep the gate wired like every other binary so a
-        // future read path cannot silently drop it.
-        if report_store_stats("bench_dataset_build", &store) {
-            std::process::exit(1);
-        }
-    }
-
-    if !all_identical {
-        eprintln!("[bench_dataset_build] FAIL: some build differs from the 1-thread baseline");
-        std::process::exit(1);
-    }
-
-    let speedups: Vec<(usize, f64)> = report
-        .runs
-        .iter()
-        .map(|r| (r.threads, r.speedup_vs_1t))
-        .collect();
-    enforce_min_speedup(
-        "bench_dataset_build",
-        opts.min_speedup,
-        &speedups,
-        available,
-    );
+    let space = SearchSpace::for_machine(&opts.machine);
+    let regions: usize = apps.iter().map(|app| app.regions.len()).sum();
+    let trajectory = Trajectory::new("dataset_build", runs)
+        .param("machine", &opts.machine.name)
+        .param("applications", &apps.len())
+        .param("regions", &regions)
+        .param(
+            "simulations_per_region",
+            &((space.configs_per_power() + 1) * space.power_levels.len()),
+        );
+    opts.finish(&trajectory);
 }

@@ -13,7 +13,10 @@
 //!    (graph construction, RGCN forward/backward, execution-model sweeps,
 //!    tuner search, the real parallel-for executor).
 //!
-//! This library crate only hosts small helpers shared by the binaries.
+//! This library crate hosts the helpers shared by the binaries, including
+//! the one perf-trajectory schema ([`Trajectory`]) that the `bench_*`
+//! harnesses and `pnp_load` write, and the best-of-repeats [`sweep`] the
+//! offline harnesses measure with.
 
 use pnp_core::artifact::ArtifactStore;
 use pnp_core::experiments::{ExperimentError, RunCtx};
@@ -21,11 +24,14 @@ use pnp_core::training::TrainSettings;
 use pnp_machine::{haswell, skylake, MachineSpec};
 use pnp_openmp::Threads;
 use pnp_store::Store;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::collections::BTreeMap;
 
-/// CLI options shared by the perf-tracking harnesses (`bench_dataset_build`,
-/// `bench_loocv_train`): which worker counts to measure, how much of the
-/// suite to use, and the optional speedup gate.
+/// CLI options shared by the offline perf harnesses (`bench_dataset_build`,
+/// `bench_loocv_train`, `bench_inference`): which worker counts to measure,
+/// how much of the suite to use, where inputs come from, and the optional
+/// speedup gate.
 ///
 /// ```text
 /// [--threads 1,2,4,8] [--apps N] [--machine haswell|skylake]
@@ -33,9 +39,9 @@ use serde::Serialize;
 /// [--store DIR] [--force-rebuild] [--verify-store]
 /// ```
 pub struct PerfHarnessOptions {
-    /// Worker counts to measure (`--threads`, default `1,2,4,8`). The
-    /// 1-worker run is always the determinism anchor and speedup
-    /// denominator.
+    /// Worker counts to measure (`--threads`, default `1,2,4,8`). [`sweep`]
+    /// always measures 1 worker first, as the determinism anchor and
+    /// speedup denominator.
     pub threads: Vec<usize>,
     /// Truncate the application suite to the first `N` apps (`--apps`).
     pub apps: Option<usize>,
@@ -44,152 +50,364 @@ pub struct PerfHarnessOptions {
     /// Best-of-`N` timing repeats (`--repeats`, default 1).
     pub repeats: usize,
     /// `Some((s, t))` (`--min-speedup S:T`): require speedup ≥ `s` at `t`
-    /// workers; see [`enforce_min_speedup`].
+    /// workers; see [`Trajectory::check`].
     pub min_speedup: Option<(f64, usize)>,
-    /// Output path of the timing JSON (`--out`).
+    /// Output path of the trajectory JSON (`--out`).
     pub out: String,
-    /// Artifact-store directory (`--store`; `PNP_STORE` is the fallback,
-    /// applied by [`PerfHarnessOptions::open_store`]). How a harness uses
-    /// the store is harness-specific: a harness never serves the quantity
-    /// it *measures* from the cache.
-    pub store: Option<String>,
-    /// `--force-rebuild`: ignore and overwrite cached artifacts.
-    pub force_rebuild: bool,
-    /// `--verify-store`: byte-compare cached artifacts against fresh
-    /// computations on every hit.
-    pub verify_store: bool,
+    /// Where the harness's *inputs* come from: `--store DIR` (`PNP_STORE`
+    /// is the fallback), `--force-rebuild` and `--verify-store` open the
+    /// artifact store, and [`RunCtx::dataset`] serves the dataset from it.
+    /// A harness never serves the quantity it *measures* from the cache.
+    pub ctx: RunCtx,
 }
+
+const PERF_HARNESS_USAGE: &str = "[--threads 1,2,4,8] [--apps N] [--machine haswell|skylake] \
+     [--repeats N] [--min-speedup S:T] [--out PATH] [--store DIR] [--force-rebuild] [--verify-store]";
 
 impl PerfHarnessOptions {
     /// Parses the process arguments, with the harness-specific default
-    /// output path. Panics with a usage message on unknown or malformed
-    /// flags — a perf harness should refuse, not guess.
+    /// output path. Prints the usage message and exits with status 2 on
+    /// unknown or malformed flags: a perf harness should refuse, not guess.
     pub fn parse(default_out: &str) -> Self {
-        Self::parse_from(std::env::args().skip(1).collect(), default_out)
+        Self::parse_from(std::env::args().skip(1), default_out)
+            .unwrap_or_else(|e| usage_exit(PERF_HARNESS_USAGE, &e))
     }
 
-    fn parse_from(args: Vec<String>, default_out: &str) -> Self {
-        let mut opts = PerfHarnessOptions {
-            threads: vec![1, 2, 4, 8],
-            apps: None,
-            machine: haswell(),
-            repeats: 1,
-            min_speedup: None,
-            out: default_out.to_string(),
-            store: None,
-            force_rebuild: false,
-            verify_store: false,
-        };
-        let value = |args: &[String], i: usize, flag: &str| -> String {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+    /// [`PerfHarnessOptions::parse`] over an explicit argument list.
+    fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+    ) -> Result<Self, String> {
+        let mut threads = vec![1, 2, 4, 8];
+        let mut apps = None;
+        let mut machine = haswell();
+        let mut repeats = 1;
+        let mut min_speedup = None;
+        let mut out = default_out.to_string();
+        let (mut store, mut force_rebuild, mut verify_store) = (None, false, false);
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--threads" => {
-                    let v = value(&args, i, "--threads");
-                    opts.threads = v
+                    threads = value()?
                         .split(',')
-                        .map(|s| s.trim().parse().expect("--threads takes e.g. 1,2,4,8"))
-                        .collect();
-                    i += 2;
+                        .map(|s| parse_num(s.trim(), "--threads"))
+                        .collect::<Result<_, _>>()?;
                 }
-                "--apps" => {
-                    opts.apps = Some(value(&args, i, "--apps").parse().expect("--apps N"));
-                    i += 2;
-                }
+                "--apps" => apps = Some(parse_num(&value()?, "--apps")?),
                 "--machine" => {
-                    opts.machine = match value(&args, i, "--machine").as_str() {
+                    machine = match value()?.as_str() {
                         "haswell" => haswell(),
                         "skylake" => skylake(),
-                        other => panic!("unknown machine {other:?} (haswell|skylake)"),
+                        other => {
+                            return Err(format!("unknown machine {other:?} (haswell|skylake)"))
+                        }
                     };
-                    i += 2;
                 }
-                "--repeats" => {
-                    opts.repeats = value(&args, i, "--repeats").parse().expect("--repeats N");
-                    i += 2;
-                }
-                "--min-speedup" => {
-                    let v = value(&args, i, "--min-speedup");
-                    let (s, t) = v.split_once(':').expect("--min-speedup S:T, e.g. 2.0:4");
-                    opts.min_speedup = Some((
-                        s.parse().expect("--min-speedup: S must be a float"),
-                        t.parse().expect("--min-speedup: T must be a thread count"),
-                    ));
-                    i += 2;
-                }
-                "--out" => {
-                    opts.out = value(&args, i, "--out");
-                    i += 2;
-                }
-                "--store" => {
-                    opts.store = Some(value(&args, i, "--store"));
-                    i += 2;
-                }
-                "--force-rebuild" => {
-                    opts.force_rebuild = true;
-                    i += 1;
-                }
-                "--verify-store" => {
-                    opts.verify_store = true;
-                    i += 1;
-                }
-                other => panic!("unknown argument {other:?}"),
+                "--repeats" => repeats = parse_num(&value()?, "--repeats")?,
+                // Validated once the worker list is known.
+                "--min-speedup" => min_speedup = Some(value()?),
+                "--out" => out = value()?,
+                "--store" => store = Some(value()?),
+                "--force-rebuild" => force_rebuild = true,
+                "--verify-store" => verify_store = true,
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        assert!(!opts.threads.is_empty(), "--threads list must be non-empty");
-        assert!(opts.repeats >= 1, "--repeats must be at least 1");
-        opts
+        if threads.contains(&0) {
+            return Err("--threads takes positive worker counts, e.g. 1,2,4,8".into());
+        }
+        if repeats == 0 {
+            return Err("--repeats must be at least 1".into());
+        }
+        let min_speedup = min_speedup
+            .map(|v| parse_min_speedup(&v, &sweep_workers(&threads)))
+            .transpose()?;
+        Ok(PerfHarnessOptions {
+            threads,
+            apps,
+            machine,
+            repeats,
+            min_speedup,
+            out,
+            ctx: RunCtx {
+                sweep_threads: Threads::Auto,
+                store: open_store(store, force_rebuild, verify_store),
+            },
+        })
     }
 
-    /// Opens the artifact store these options name (or the `PNP_STORE`
-    /// fallback); `None` when no store is configured.
-    pub fn open_store(&self) -> Option<ArtifactStore> {
-        open_store(self.store.clone(), self.force_rebuild, self.verify_store)
+    /// The offline harnesses' tail: prints the store's hit/miss tally, then
+    /// [`Trajectory::write_and_gate`]s against `--out` and `--min-speedup`.
+    /// Exits with status 1 when verify mode found cached bytes differing
+    /// from fresh computations (a broken cache-key contract, DESIGN.md §12).
+    pub fn finish(&self, trajectory: &Trajectory) {
+        let tag = &trajectory.bench;
+        let mismatched = self
+            .ctx
+            .store
+            .as_ref()
+            .is_some_and(|store| report_store_stats(tag, store));
+        trajectory.write_and_gate(&self.out, self.min_speedup);
+        if mismatched {
+            fail(
+                tag,
+                "--verify-store found cached bytes differing from fresh computations",
+            );
+        }
     }
 }
 
-/// Applies the `--min-speedup S:T` perf gate shared by the harnesses: the
-/// measured run at `t` workers (from `runs`, a `(workers, speedup_vs_1t)`
-/// list) must reach speedup ≥ `s`, guarding against a fan-out silently
-/// degenerating to serial — which no output comparison can catch. Exits the
-/// process with status 1 on failure. The gate is skipped with a warning when
-/// the host has fewer than `t` cores (`available`), where the speedup
-/// physically cannot materialize. `tag` prefixes the log lines
-/// (e.g. `"bench_loocv_train"`).
-pub fn enforce_min_speedup(
-    tag: &str,
-    min_speedup: Option<(f64, usize)>,
-    runs: &[(usize, f64)],
-    available: usize,
-) {
-    let Some((min, at_threads)) = min_speedup else {
-        return;
-    };
-    let &(_, speedup) = runs
-        .iter()
-        .find(|(threads, _)| *threads == at_threads)
-        .unwrap_or_else(|| {
-            panic!("--min-speedup references {at_threads} threads, not in --threads list")
+/// Parses one numeric flag value, naming the flag on error.
+fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?} as a number"))
+}
+
+/// Parses a `--min-speedup S:T` value against the worker counts a run
+/// measures: `T` must be one of them, and so must 1, the anchor every
+/// `speedup_vs_1w` is measured against.
+pub fn parse_min_speedup(value: &str, workers: &[usize]) -> Result<(f64, usize), String> {
+    let (s, t) = value
+        .split_once(':')
+        .ok_or_else(|| format!("--min-speedup takes S:T, e.g. 2.0:4, not {value:?}"))?;
+    let (s, t) = (
+        parse_num(s, "--min-speedup S")?,
+        parse_num(t, "--min-speedup T")?,
+    );
+    if !workers.contains(&1) {
+        return Err(format!(
+            "--min-speedup needs the 1-worker anchor, but the worker list is {workers:?}"
+        ));
+    }
+    if !workers.contains(&t) {
+        return Err(format!(
+            "--min-speedup references {t} workers, not in the worker list {workers:?}"
+        ));
+    }
+    Ok((s, t))
+}
+
+/// Prints `err` and a usage line, then exits with status 2 (bad usage).
+pub fn usage_exit(usage: &str, err: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    eprintln!("error: {err}\nusage: {program} {usage}");
+    std::process::exit(2)
+}
+
+/// Prints a `FAIL` line under `tag` and exits with status 1.
+fn fail(tag: &str, msg: &str) -> ! {
+    eprintln!("[{tag}] FAIL: {msg}");
+    std::process::exit(1)
+}
+
+/// One point of a perf trajectory: a measurement at a fixed worker count.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Run {
+    /// Worker count measured.
+    pub workers: usize,
+    /// Wall time of the headline quantity in seconds (best of the
+    /// repeats, for the offline harnesses).
+    pub wall_s: f64,
+    /// Throughput relative to the `workers == 1` run; `None` without one.
+    /// See [`anchor_speedups`].
+    pub speedup_vs_1w: Option<f64>,
+    /// Whether every output equalled the 1-worker anchor bit for bit;
+    /// `None` when the bench has no identity contract.
+    pub identical: Option<bool>,
+    /// Bench-specific measurements, by name.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+/// The one perf-trajectory schema every `BENCH_*.json` is written in
+/// (DESIGN.md §9, "Perf trajectory").
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Trajectory {
+    /// Benchmark identifier (`dataset_build`, `loocv_train`, `inference`,
+    /// `serve`).
+    pub bench: String,
+    /// Who measured, at which commit, on how many cores.
+    pub context: Provenance,
+    /// Bench-specific parameters of the measurement (machine, suite size,
+    /// batch shape, daemon counters, …).
+    pub params: BTreeMap<String, Value>,
+    /// One run per measured worker count.
+    pub runs: Vec<Run>,
+}
+
+impl Trajectory {
+    /// A trajectory of `runs`, stamped with this process's provenance.
+    pub fn new(bench: &str, runs: Vec<Run>) -> Self {
+        Trajectory {
+            bench: bench.to_string(),
+            context: Provenance::capture(),
+            params: BTreeMap::new(),
+            runs,
+        }
+    }
+
+    /// Records the bench-specific parameter `name`.
+    pub fn param<T: Serialize + ?Sized>(mut self, name: &str, value: &T) -> Self {
+        self.params
+            .insert(name.to_string(), serde_json::to_value(value));
+        self
+    }
+
+    /// The shared gates. Fails when a run diverged from its 1-worker
+    /// anchor, or when `min_speedup = Some((s, t))` and the run at `t`
+    /// workers is below `s`× — a fan-out silently degenerating to serial,
+    /// which no output comparison can catch. The speedup gate is skipped
+    /// when the host has fewer than `t` cores, where the speedup cannot
+    /// materialize. `Ok` carries the line to log.
+    pub fn check(&self, min_speedup: Option<(f64, usize)>) -> Result<String, String> {
+        let diverged: Vec<usize> = self
+            .runs
+            .iter()
+            .filter(|r| r.identical == Some(false))
+            .map(|r| r.workers)
+            .collect();
+        if !diverged.is_empty() {
+            return Err(format!(
+                "runs at {diverged:?} workers differ from the 1-worker anchor"
+            ));
+        }
+        let Some((min, at)) = min_speedup else {
+            return Ok("no --min-speedup gate set".into());
+        };
+        let available = self.context.available_parallelism;
+        let speedup = self
+            .runs
+            .iter()
+            .find(|r| r.workers == at)
+            .ok_or_else(|| format!("no run at {at} workers to gate"))?
+            .speedup_vs_1w
+            .ok_or_else(|| format!("no 1-worker anchor to gate {at} workers against"))?;
+        if available < at {
+            Ok(format!(
+                "skipping --min-speedup gate: host has {available} core(s), \
+                 {at} are needed for the speedup to materialize"
+            ))
+        } else if speedup < min {
+            Err(format!(
+                "speedup at {at} workers is {speedup:.2}x, required >= {min:.2}x \
+                 — the parallel fan-out may have degenerated to serial"
+            ))
+        } else {
+            Ok(format!(
+                "speedup gate passed: {speedup:.2}x >= {min:.2}x at {at} workers"
+            ))
+        }
+    }
+
+    /// Writes the trajectory to `out` as pretty JSON, prints it, and applies
+    /// [`Trajectory::check`]. Exits with status 1 when the write or a gate
+    /// fails.
+    pub fn write_and_gate(&self, out: &str, min_speedup: Option<(f64, usize)>) {
+        let tag = &self.bench;
+        let json = serde_json::to_string_pretty(self)
+            .unwrap_or_else(|e| fail(tag, &format!("trajectory does not serialize: {e}")));
+        if let Err(e) = std::fs::write(out, &json) {
+            fail(tag, &format!("cannot write {out}: {e}"));
+        }
+        println!("{json}");
+        eprintln!("[{tag}] wrote {out}");
+        match self.check(min_speedup) {
+            Ok(line) => eprintln!("[{tag}] {line}"),
+            Err(e) => fail(tag, &e),
+        }
+    }
+}
+
+/// One timed repeat of an offline harness's measured closure. The harness
+/// binary reads the clock; library code never does (the `wall-clock` lint
+/// rule).
+pub struct Sample<O> {
+    /// Wall time of the headline quantity in seconds.
+    pub wall_s: f64,
+    /// Further timed quantities in seconds, by metric name.
+    pub timed: BTreeMap<String, f64>,
+    /// Outputs that must equal the anchor: the first output of the first
+    /// 1-worker repeat.
+    pub outputs: Vec<O>,
+}
+
+impl<O> Sample<O> {
+    /// A sample with one timed quantity and one output.
+    pub fn new(wall_s: f64, output: O) -> Self {
+        Sample {
+            wall_s,
+            timed: BTreeMap::new(),
+            outputs: vec![output],
+        }
+    }
+}
+
+/// The worker counts [`sweep`] measures: 1 first (the anchor), then the
+/// rest of `threads` in order.
+fn sweep_workers(threads: &[usize]) -> Vec<usize> {
+    std::iter::once(1)
+        .chain(threads.iter().copied().filter(|&w| w != 1))
+        .collect()
+}
+
+/// Measures `measure(workers)` best-of-`repeats` at 1 worker, then at every
+/// other count in `threads`. Each timed quantity keeps its own minimum over
+/// the repeats (`wall_s`, and every [`Sample::timed`] entry as a metric), so
+/// ratios between them belong after the sweep. A run is `identical` when
+/// every output of every repeat equals the anchor, the first output of the
+/// first 1-worker repeat; `speedup_vs_1w` is `wall_s(1) / wall_s`.
+pub fn sweep<O: PartialEq>(
+    threads: &[usize],
+    repeats: usize,
+    mut measure: impl FnMut(usize) -> Sample<O>,
+) -> Vec<Run> {
+    let mut anchor = None;
+    let mut runs = Vec::new();
+    for workers in sweep_workers(threads) {
+        let mut wall_s = f64::INFINITY;
+        let mut metrics = BTreeMap::new();
+        let mut identical = true;
+        for _ in 0..repeats.max(1) {
+            let sample = measure(workers);
+            wall_s = wall_s.min(sample.wall_s);
+            for (name, secs) in sample.timed {
+                let best = metrics.entry(name).or_insert(f64::INFINITY);
+                *best = secs.min(*best);
+            }
+            for output in sample.outputs {
+                match &anchor {
+                    Some(first) => identical &= output == *first,
+                    None => anchor = Some(output),
+                }
+            }
+        }
+        eprintln!("[sweep] {workers:>2} worker(s): {wall_s:.3} s  identical={identical}");
+        runs.push(Run {
+            workers,
+            wall_s,
+            speedup_vs_1w: None,
+            identical: Some(identical),
+            metrics,
         });
-    if available < at_threads {
-        eprintln!(
-            "[{tag}] skipping --min-speedup gate: host has {available} core(s), \
-             {at_threads} are needed for the speedup to materialize"
-        );
-    } else if speedup < min {
-        eprintln!(
-            "[{tag}] FAIL: speedup at {at_threads} threads is {speedup:.2}x, \
-             required >= {min:.2}x — the parallel fan-out may have degenerated to serial"
-        );
-        std::process::exit(1);
-    } else {
-        eprintln!(
-            "[{tag}] speedup gate passed: {speedup:.2}x >= {min:.2}x at {at_threads} threads"
-        );
+    }
+    anchor_speedups(&mut runs, |r| 1.0 / r.wall_s);
+    runs
+}
+
+/// Sets every run's `speedup_vs_1w` to `rate(run) / rate(anchor)`, where
+/// the anchor is the `workers == 1` run and `rate` is higher-is-better
+/// (throughput, or `1 / wall_s`). Without a 1-worker run, or when its rate
+/// is not a positive finite number, every speedup is `None`.
+pub fn anchor_speedups(runs: &mut [Run], rate: impl Fn(&Run) -> f64) {
+    let anchor = runs
+        .iter()
+        .find(|r| r.workers == 1)
+        .map(&rate)
+        .filter(|a| a.is_finite() && *a > 0.0);
+    for run in runs.iter_mut() {
+        run.speedup_vs_1w = anchor.map(|a| rate(run) / a);
     }
 }
 
@@ -302,9 +520,6 @@ pub fn bool_flag_from(args: &[String], flag: &str) -> bool {
 /// zero-request smoke run still renders a report.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     assert!((0.0..=100.0).contains(&q), "percentile q={q} out of range");
-    if samples.is_empty() {
-        return 0.0;
-    }
     let mut sorted = samples.to_vec();
     assert!(
         !sorted.iter().any(|s| s.is_nan()),
@@ -312,7 +527,10 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     );
     sorted.sort_by(|a, b| a.total_cmp(b));
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    sorted
+        .get(rank.saturating_sub(1).min(sorted.len().saturating_sub(1)))
+        .copied()
+        .unwrap_or(0.0)
 }
 
 /// Shared store opener: an explicit `--store` directory wins, then
@@ -347,12 +565,12 @@ pub fn report_store_stats(tag: &str, store: &ArtifactStore) -> bool {
     s.verify_mismatches > 0
 }
 
-/// Measurement provenance stamped into the perf-trajectory JSONs
-/// (`BENCH_dataset_build.json` / `BENCH_loocv_train.json`), mirroring the
+/// Measurement provenance stamped into every perf trajectory (the
+/// [`Trajectory::context`] of the four `BENCH_*.json` files), mirroring the
 /// context header of `VALIDATION.json`: which commit produced the numbers,
 /// under which store-key schema, on how many cores — so trajectory points
 /// are attributable long after the run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Provenance {
     /// `git rev-parse HEAD` of the measured tree (falls back to the
     /// `GITHUB_SHA` environment variable, then `"unknown"`).
@@ -486,13 +704,14 @@ mod tests {
     #[test]
     fn perf_harness_options_parse_and_default() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let defaults = PerfHarnessOptions::parse_from(Vec::new(), "X.json");
+        let defaults = PerfHarnessOptions::parse_from(Vec::new(), "X.json").unwrap();
         assert_eq!(defaults.threads, vec![1, 2, 4, 8]);
         assert_eq!(defaults.apps, None);
         assert_eq!(defaults.machine.name, "haswell");
         assert_eq!(defaults.repeats, 1);
         assert_eq!(defaults.min_speedup, None);
         assert_eq!(defaults.out, "X.json");
+        assert_eq!(defaults.ctx.sweep_threads, Threads::Auto);
 
         let opts = PerfHarnessOptions::parse_from(
             args(&[
@@ -510,22 +729,186 @@ mod tests {
                 "smoke.json",
             ]),
             "X.json",
-        );
+        )
+        .unwrap();
         assert_eq!(opts.threads, vec![1, 4]);
         assert_eq!(opts.apps, Some(6));
         assert_eq!(opts.machine.name, "skylake");
         assert_eq!(opts.repeats, 2);
         assert_eq!(opts.min_speedup, Some((1.3, 4)));
         assert_eq!(opts.out, "smoke.json");
-        assert_eq!(opts.store, None);
-        assert!(!opts.force_rebuild && !opts.verify_store);
 
+        let dir = std::env::temp_dir().join(format!("pnp-bench-opts-{}", std::process::id()));
         let opts = PerfHarnessOptions::parse_from(
-            args(&["--store", "pnp-store", "--force-rebuild", "--verify-store"]),
+            args(&[
+                "--store",
+                dir.to_str().unwrap(),
+                "--force-rebuild",
+                "--verify-store",
+            ]),
             "X.json",
-        );
-        assert_eq!(opts.store.as_deref(), Some("pnp-store"));
-        assert!(opts.force_rebuild && opts.verify_store);
+        )
+        .unwrap();
+        let store = opts.ctx.store.expect("--store opens a store");
+        assert_eq!(store.store().root(), dir.as_path());
+        assert!(store.store().force_rebuild() && store.store().verify());
+    }
+
+    #[test]
+    fn perf_harness_options_reject_malformed_flags() {
+        let parse = |v: &[&str]| {
+            PerfHarnessOptions::parse_from(v.iter().map(|s| s.to_string()), "X.json").err()
+        };
+        assert!(parse(&["--apps"]).unwrap().contains("needs a value"));
+        assert!(parse(&["--apps", "six"]).unwrap().contains("--apps"));
+        assert!(parse(&["--machine", "epyc"])
+            .unwrap()
+            .contains("unknown machine"));
+        assert!(parse(&["--threads", "1,0"]).unwrap().contains("positive"));
+        assert!(parse(&["--repeats", "0"]).unwrap().contains("at least 1"));
+        // The gated worker count must be measured; 1 always is.
+        assert!(parse(&["--threads", "1,2", "--min-speedup", "2:4"])
+            .unwrap()
+            .contains("not in the worker list"));
+        assert_eq!(parse(&["--min-speedup", "2:4", "--threads", "4"]), None);
+    }
+
+    #[test]
+    fn min_speedup_requires_the_one_worker_anchor() {
+        assert_eq!(parse_min_speedup("1.2:4", &[1, 4]), Ok((1.2, 4)));
+        assert!(parse_min_speedup("1.2:8", &[4, 8])
+            .unwrap_err()
+            .contains("1-worker anchor"));
+        assert!(parse_min_speedup("1.2:8", &[1, 4])
+            .unwrap_err()
+            .contains("not in the worker list"));
+        assert!(parse_min_speedup("1.2", &[1]).unwrap_err().contains("S:T"));
+    }
+
+    fn run(workers: usize, wall_s: f64, throughput: f64) -> Run {
+        Run {
+            workers,
+            wall_s,
+            speedup_vs_1w: None,
+            identical: None,
+            metrics: BTreeMap::from([("throughput_rps".to_string(), throughput)]),
+        }
+    }
+
+    fn throughput(r: &Run) -> f64 {
+        r.metrics.get("throughput_rps").copied().unwrap_or(0.0)
+    }
+
+    #[test]
+    fn speedups_anchor_on_the_one_worker_run_not_the_first() {
+        let mut runs = vec![run(4, 1.0, 400.0), run(1, 1.0, 100.0), run(8, 1.0, 800.0)];
+        anchor_speedups(&mut runs, throughput);
+        let speedups: Vec<_> = runs.iter().map(|r| r.speedup_vs_1w).collect();
+        assert_eq!(speedups, vec![Some(4.0), Some(1.0), Some(8.0)]);
+    }
+
+    #[test]
+    fn speedups_are_null_without_a_one_worker_run() {
+        let mut runs = vec![run(2, 1.0, 200.0), run(4, 1.0, 400.0)];
+        anchor_speedups(&mut runs, throughput);
+        assert!(runs.iter().all(|r| r.speedup_vs_1w.is_none()));
+        // A 1-worker run that accepted nothing anchors nothing either.
+        let mut runs = vec![run(1, 1.0, 0.0), run(2, 1.0, 200.0)];
+        anchor_speedups(&mut runs, throughput);
+        assert!(runs.iter().all(|r| r.speedup_vs_1w.is_none()));
+    }
+
+    #[test]
+    fn sweep_measures_the_anchor_first_and_keeps_per_quantity_minima() {
+        let mut calls = Vec::new();
+        // Repeat 0 is fast on `wall_s`, repeat 1 on `other_s`: each
+        // quantity keeps its own best.
+        let runs = sweep(&[4, 2], 2, |workers| {
+            calls.push(workers);
+            let repeat = calls.iter().filter(|&&w| w == workers).count();
+            let mut sample = Sample::new(if repeat == 1 { 1.0 } else { 3.0 }, 7u8);
+            let other = if repeat == 1 { 5.0 } else { 2.0 };
+            sample
+                .timed
+                .insert("other_s".into(), other / workers as f64);
+            sample
+        });
+        assert_eq!(calls, vec![1, 1, 4, 4, 2, 2]);
+        let workers: Vec<_> = runs.iter().map(|r| r.workers).collect();
+        assert_eq!(workers, vec![1, 4, 2]);
+        for r in &runs {
+            assert_eq!(r.wall_s, 1.0);
+            assert_eq!(r.metrics.get("other_s"), Some(&(2.0 / r.workers as f64)));
+            assert_eq!(r.identical, Some(true));
+            assert_eq!(r.speedup_vs_1w, Some(1.0));
+        }
+    }
+
+    #[test]
+    fn sweep_flags_a_diverging_run_and_the_gate_fails_it() {
+        // Worker count 4 produces a different output on its second repeat;
+        // every other output matches the anchor.
+        let mut repeat_at_4 = 0;
+        let runs = sweep(&[1, 2, 4], 2, |workers| {
+            let output = if workers == 4 {
+                repeat_at_4 += 1;
+                repeat_at_4
+            } else {
+                1
+            };
+            Sample::new(1.0 / workers as f64, output)
+        });
+        let identical: Vec<_> = runs.iter().map(|r| r.identical).collect();
+        assert_eq!(identical, vec![Some(true), Some(true), Some(false)]);
+        let speedups: Vec<_> = runs.iter().map(|r| r.speedup_vs_1w).collect();
+        assert_eq!(speedups, vec![Some(1.0), Some(2.0), Some(4.0)]);
+        let err = Trajectory::new("test", runs).check(None).unwrap_err();
+        assert!(err.contains("[4] workers differ"), "{err}");
+    }
+
+    #[test]
+    fn sweep_compares_every_output_of_a_sample_to_the_anchor() {
+        // A second output that disagrees with the first, even at 1 worker,
+        // breaks identity: the anchor is the first output alone.
+        let runs = sweep(&[1], 1, |_| {
+            let mut sample = Sample::new(1.0, "single");
+            sample.outputs.push("fused");
+            sample
+        });
+        assert_eq!(runs[0].identical, Some(false));
+    }
+
+    #[test]
+    fn speedup_gate_passes_fails_and_skips() {
+        let mut runs = vec![run(1, 4.0, 0.0), run(4, 2.0, 0.0)];
+        anchor_speedups(&mut runs, |r| 1.0 / r.wall_s);
+        let mut t = Trajectory::new("test", runs);
+        t.context.available_parallelism = 4;
+        assert!(t.check(Some((1.5, 4))).unwrap().contains("passed"));
+        assert!(t.check(Some((2.5, 4))).unwrap_err().contains("2.00x"));
+        assert!(t.check(Some((1.5, 8))).unwrap_err().contains("no run at 8"));
+        t.context.available_parallelism = 2;
+        assert!(t.check(Some((2.5, 4))).unwrap().contains("skipping"));
+        // Without a 1-worker anchor there is nothing to gate against.
+        t.runs.remove(0);
+        anchor_speedups(&mut t.runs, |r| 1.0 / r.wall_s);
+        t.context.available_parallelism = 4;
+        assert!(t.check(Some((1.5, 4))).unwrap_err().contains("anchor"));
+    }
+
+    #[test]
+    fn trajectory_round_trips_through_json() {
+        let mut runs = vec![run(1, 2.0, 50.0), run(2, 1.0, 100.0)];
+        anchor_speedups(&mut runs, throughput);
+        let t = Trajectory::new("test", runs)
+            .param("machine", "haswell")
+            .param("regions", &68usize);
+        let json = serde_json::to_string_pretty(&t).unwrap();
+        let back: Trajectory = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.runs, t.runs);
+        assert_eq!(back.params, t.params);
+        assert_eq!(back.context.git_sha, t.context.git_sha);
+        assert!(json.contains("\"speedup_vs_1w\": 2.0"), "{json}");
     }
 
     #[test]
@@ -584,8 +967,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn perf_harness_options_reject_unknown_flags() {
-        PerfHarnessOptions::parse_from(vec!["--what".into()], "X.json");
+        let err = PerfHarnessOptions::parse_from(vec!["--what".into()], "X.json").err();
+        assert!(err.is_some_and(|e| e.contains("unknown argument")));
     }
 }

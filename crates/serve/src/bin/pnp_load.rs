@@ -2,8 +2,11 @@
 //! "Measuring"): replays paper-suite regions plus `pnp_ir::gen` synthetic
 //! kernels against a running `pnp_serve` daemon, sweeping the daemon's
 //! batch worker count and reporting sustained throughput and p50/p99
-//! latency per phase — the same trajectory idiom as the other two perf
-//! harnesses (`BENCH_dataset_build.json`, `BENCH_loocv_train.json`).
+//! latency per phase — written as the same [`pnp_bench::Trajectory`] as the
+//! other three perf harnesses (`BENCH_dataset_build.json`,
+//! `BENCH_loocv_train.json`, `BENCH_inference.json`). Each phase is one run
+//! with `accepted`, `shed`, `deadline_rejected`, `throughput_rps`, `p50_ms`
+//! and `p99_ms` metrics; the daemon's counters land in `params`.
 //!
 //! ```text
 //! pnp_load (--addr HOST:PORT | --port-file PATH) [--machine haswell]
@@ -19,8 +22,10 @@
 //! capped at `--inflight` outstanding so an overloaded daemon applies
 //! backpressure instead of unbounded queueing). The `--min-speedup S:T`
 //! gate requires batched throughput at `T` workers to reach `S×` the
-//! 1-worker anchor, with the usual fewer-cores auto-skip; `--min-throughput`
-//! is an absolute floor on the best phase.
+//! 1-worker phase, with the usual fewer-cores auto-skip; it is a usage
+//! error unless `--workers` lists both 1 and `T`. Without a 1-worker phase
+//! every `speedup_vs_1w` is `null`. `--min-throughput` is an absolute floor
+//! on the best phase.
 //!
 //! Degradation-aware gates (SERVING.md "Overload behavior"): typed
 //! `Rejected` responses are counted as sheds or deadline rejections — never
@@ -35,54 +40,21 @@
 //! watcher.
 
 use pnp_bench::{
-    banner, bool_flag_from, enforce_min_speedup, percentile, string_flag_from, Provenance,
+    anchor_speedups, banner, bool_flag_from, parse_min_speedup, percentile, string_flag_from,
+    usage_exit, Run, Trajectory,
 };
 use pnp_core::serving::{KernelInput, TuneObjective, TuneRequest};
 use pnp_serve::{read_message, write_message, Client, RejectReason, Request, Response};
-use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Serialize)]
-struct Run {
-    workers: usize,
-    requests: usize,
-    accepted: usize,
-    shed: usize,
-    deadline_rejected: usize,
-    errors: usize,
-    wall_s: f64,
-    throughput_rps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    speedup_vs_1w: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    bench: String,
-    machine: String,
-    suite_kernels: usize,
-    generated_kernels: usize,
-    requests_per_phase: usize,
-    inflight: usize,
-    rate_rps: f64,
-    deadline_ms: u64,
-    grids_loaded: usize,
-    grids_skipped: usize,
-    max_batch_seen: u64,
-    fused_batches: u64,
-    fused_graphs: u64,
-    max_fused_batch: u64,
-    shed_requests: u64,
-    deadline_expired: u64,
-    reloads: u64,
-    context: Provenance,
-    runs: Vec<Run>,
-}
+const USAGE: &str = "(--addr HOST:PORT | --port-file PATH) [--machine haswell] \
+     [--workers 1,2,4,8] [--requests N] [--inflight N] [--rate R] [--deadline-ms MS] \
+     [--gen-kernels N] [--out BENCH_serve.json] [--min-speedup S:T] [--min-throughput R] \
+     [--max-p99-ms MS] [--require-sheds] [--wait-machine NAME] [--wait-secs N] [--shutdown]";
 
 /// What one measured phase observed on the wire.
 struct PhaseOutcome {
@@ -258,14 +230,8 @@ fn main() {
     let gen_kernels: usize =
         flag("--gen-kernels").map_or(24, |v| v.parse().expect("--gen-kernels N"));
     let out = flag("--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    let min_speedup = flag("--min-speedup").map(|v| {
-        let (s, t) = v.split_once(':').expect("--min-speedup S:T, e.g. 1.2:4");
-        (
-            s.parse::<f64>().expect("--min-speedup: S must be a float"),
-            t.parse::<usize>()
-                .expect("--min-speedup: T must be a worker count"),
-        )
-    });
+    let min_speedup = flag("--min-speedup")
+        .map(|v| parse_min_speedup(&v, &workers).unwrap_or_else(|e| usage_exit(USAGE, &e)));
     let min_throughput: Option<f64> =
         flag("--min-throughput").map(|v| v.parse().expect("--min-throughput R"));
     let max_p99_ms: Option<f64> = flag("--max-p99-ms").map(|v| v.parse().expect("--max-p99-ms MS"));
@@ -321,42 +287,44 @@ fn main() {
             .into_stream();
         let outcome = run_phase(&stream, &templates, requests, inflight, rate);
         let accepted = outcome.latencies.len();
-        let throughput = accepted as f64 / outcome.wall_s;
-        let anchor = runs.first().map_or(throughput, |r| r.throughput_rps);
         let run = Run {
             workers: w,
-            requests,
-            accepted,
-            shed: outcome.shed,
-            deadline_rejected: outcome.deadline_rejected,
-            errors: outcome.errors,
             wall_s: outcome.wall_s,
-            throughput_rps: throughput,
-            p50_ms: percentile(&outcome.latencies, 50.0),
-            p99_ms: percentile(&outcome.latencies, 99.0),
-            speedup_vs_1w: if anchor > 0.0 {
-                throughput / anchor
-            } else {
-                0.0
-            },
+            speedup_vs_1w: None,
+            identical: None,
+            metrics: BTreeMap::from([
+                ("accepted".to_string(), accepted as f64),
+                ("shed".to_string(), outcome.shed as f64),
+                (
+                    "deadline_rejected".to_string(),
+                    outcome.deadline_rejected as f64,
+                ),
+                (
+                    "throughput_rps".to_string(),
+                    accepted as f64 / outcome.wall_s,
+                ),
+                ("p50_ms".to_string(), percentile(&outcome.latencies, 50.0)),
+                ("p99_ms".to_string(), percentile(&outcome.latencies, 99.0)),
+            ]),
         };
+        let m = &run.metrics;
         eprintln!(
             "[pnp_load] workers {w}: {:.1} req/s accepted, p50 {:.2} ms, p99 {:.2} ms, \
-             {} shed, {} deadline-rejected, {} error(s), speedup {:.2}x",
-            run.throughput_rps,
-            run.p50_ms,
-            run.p99_ms,
-            run.shed,
-            run.deadline_rejected,
-            run.errors,
-            run.speedup_vs_1w
+             {} shed, {} deadline-rejected, {} error(s)",
+            m["throughput_rps"],
+            m["p50_ms"],
+            m["p99_ms"],
+            outcome.shed,
+            outcome.deadline_rejected,
+            outcome.errors
         );
         assert_eq!(
-            run.errors, 0,
+            outcome.errors, 0,
             "served workload must not produce error responses (typed rejections are not errors)"
         );
         runs.push(run);
     }
+    anchor_speedups(&mut runs, |r| r.metrics["throughput_rps"]);
 
     let stats = match control.request(&Request::Stats) {
         Ok(Response::Stats(stats)) => stats,
@@ -369,44 +337,36 @@ fn main() {
         }
     }
 
-    let context = Provenance::capture();
-    let available = context.available_parallelism;
-    let report = Report {
-        bench: "serve".into(),
-        machine,
-        suite_kernels,
-        generated_kernels,
-        requests_per_phase: requests,
-        inflight,
-        rate_rps: rate,
-        deadline_ms,
-        grids_loaded: stats.grids_loaded,
-        grids_skipped: stats.grids_skipped,
-        max_batch_seen: stats.max_batch_seen,
-        fused_batches: stats.fused_batches,
-        fused_graphs: stats.fused_graphs,
-        max_fused_batch: stats.max_fused_batch,
-        shed_requests: stats.shed_requests,
-        deadline_expired: stats.deadline_expired,
-        reloads: stats.reloads,
-        context,
-        runs,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, &json).expect("write timing JSON");
-    eprintln!("[pnp_load] wrote {out}");
     eprintln!(
         "[pnp_load] daemon counters: {} shed, {} deadline-expired, {} hot reload(s)",
         stats.shed_requests, stats.deadline_expired, stats.reloads
     );
+    let trajectory = Trajectory::new("serve", runs)
+        .param("machine", &machine)
+        .param("suite_kernels", &suite_kernels)
+        .param("generated_kernels", &generated_kernels)
+        .param("requests_per_phase", &requests)
+        .param("inflight", &inflight)
+        .param("rate_rps", &rate)
+        .param("deadline_ms", &deadline_ms)
+        .param("grids_loaded", &stats.grids_loaded)
+        .param("grids_skipped", &stats.grids_skipped)
+        .param("max_batch_seen", &stats.max_batch_seen)
+        .param("fused_batches", &stats.fused_batches)
+        .param("fused_graphs", &stats.fused_graphs)
+        .param("max_fused_batch", &stats.max_fused_batch)
+        .param("shed_requests", &stats.shed_requests)
+        .param("deadline_expired", &stats.deadline_expired)
+        .param("reloads", &stats.reloads);
+    trajectory.write_and_gate(&out, min_speedup);
 
     if require_sheds {
-        let total_rejected: usize = report
+        let total_rejected: f64 = trajectory
             .runs
             .iter()
-            .map(|r| r.shed + r.deadline_rejected)
+            .map(|r| r.metrics["shed"] + r.metrics["deadline_rejected"])
             .sum();
-        if total_rejected == 0 {
+        if total_rejected == 0.0 {
             eprintln!(
                 "[pnp_load] FAIL: --require-sheds was set but the daemon rejected nothing — \
                  backpressure never engaged"
@@ -416,14 +376,12 @@ fn main() {
         eprintln!("[pnp_load] shed gate passed: {total_rejected} typed rejection(s) observed");
     }
     if let Some(bound) = max_p99_ms {
-        for run in &report.runs {
-            if run.accepted == 0 {
-                continue;
-            }
-            if run.p99_ms > bound {
+        for run in &trajectory.runs {
+            let p99_ms = run.metrics["p99_ms"];
+            if run.metrics["accepted"] > 0.0 && p99_ms > bound {
                 eprintln!(
-                    "[pnp_load] FAIL: workers {} accepted-p99 {:.2} ms exceeds --max-p99-ms {:.2}",
-                    run.workers, run.p99_ms, bound
+                    "[pnp_load] FAIL: workers {} accepted-p99 {p99_ms:.2} ms exceeds --max-p99-ms {bound:.2}",
+                    run.workers
                 );
                 std::process::exit(1);
             }
@@ -431,10 +389,10 @@ fn main() {
         eprintln!("[pnp_load] p99 gate passed: every phase's accepted-p99 <= {bound:.2} ms");
     }
     if let Some(floor) = min_throughput {
-        let best = report
+        let best = trajectory
             .runs
             .iter()
-            .map(|r| r.throughput_rps)
+            .map(|r| r.metrics["throughput_rps"])
             .fold(0.0f64, f64::max);
         if best < floor {
             eprintln!(
@@ -445,10 +403,4 @@ fn main() {
         }
         eprintln!("[pnp_load] throughput floor passed: {best:.1} >= {floor:.1} req/s");
     }
-    let speedups: Vec<(usize, f64)> = report
-        .runs
-        .iter()
-        .map(|r| (r.workers, r.speedup_vs_1w))
-        .collect();
-    enforce_min_speedup("pnp_load", min_speedup, &speedups, available);
 }
