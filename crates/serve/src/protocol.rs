@@ -233,14 +233,32 @@ pub struct ServeStats {
     pub protocol: u32,
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single `write_all` followed by one
+/// `flush`.
+///
+/// The length prefix and the payload are built in one buffer, so on a TCP
+/// socket the frame leaves as one segment (frames here are ~1 KB). Writing
+/// the prefix and the payload separately would leave the payload behind
+/// Nagle's algorithm until the peer acknowledges the prefix, and the peer
+/// may delay that acknowledgement by tens of milliseconds (SERVING.md "The
+/// wire protocol"). The bytes on the wire are the same either way.
+///
+/// A payload longer than [`MAX_FRAME`] is an
+/// [`std::io::ErrorKind::InvalidInput`] error, and nothing is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    assert!(
-        payload.len() <= MAX_FRAME,
-        "outgoing frame exceeds MAX_FRAME"
-    );
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "outgoing frame of {} bytes exceeds MAX_FRAME {MAX_FRAME}",
+                payload.len()
+            ),
+        ));
+    }
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -266,7 +284,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
     Ok(Some(payload))
 }
 
-/// Serializes and writes one message.
+/// Serializes and writes one message as one frame ([`write_frame`]: one
+/// write, one flush).
 pub fn write_message<T: Serialize>(w: &mut impl Write, message: &T) -> std::io::Result<()> {
     let json = serde_json::to_string(message)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
@@ -306,6 +325,88 @@ mod tests {
             Some(&b"world"[..])
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// A sink that records every `write` call and counts `flush`es.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_then_one_flush() {
+        let mut sink = CountingSink::default();
+        write_frame(&mut sink, b"hello").unwrap();
+        assert_eq!(sink.writes, vec![b"\0\0\0\x05hello".to_vec()]);
+        assert_eq!(sink.flushes, 1);
+
+        let message = Request::Describe { id: "x".into() };
+        let mut sink = CountingSink::default();
+        write_message(&mut sink, &message).unwrap();
+        let mut wire = Vec::new();
+        write_message(&mut wire, &message).unwrap();
+        assert_eq!(sink.writes, vec![wire]);
+        assert_eq!(sink.flushes, 1);
+    }
+
+    #[test]
+    fn an_oversized_outgoing_frame_is_invalid_input_and_writes_nothing() {
+        let mut sink = CountingSink::default();
+        let payload = vec![b' '; MAX_FRAME + 1];
+        let err = write_frame(&mut sink, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(sink.writes.is_empty());
+        assert_eq!(sink.flushes, 0);
+    }
+
+    /// A source that counts `read` calls.
+    struct CountingSource<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingSource<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_buffered_reader_shares_one_read_among_pipelined_frames() {
+        let mut wire = Vec::new();
+        for _ in 0..10 {
+            write_message(&mut wire, &Request::Ping).unwrap();
+        }
+        let mut raw = CountingSource {
+            bytes: &wire,
+            reads: 0,
+        };
+        while read_frame(&mut raw).unwrap().is_some() {}
+        assert_eq!(
+            raw.reads,
+            3 * 10 + 1,
+            "length byte, rest of length, payload"
+        );
+        let mut buffered = std::io::BufReader::new(CountingSource {
+            bytes: &wire,
+            reads: 0,
+        });
+        while read_frame(&mut buffered).unwrap().is_some() {}
+        assert_eq!(buffered.get_ref().reads, 2, "one fill, then end of stream");
     }
 
     #[test]

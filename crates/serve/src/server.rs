@@ -5,11 +5,18 @@
 //! Tune requests from every connection funnel into one dispatcher thread,
 //! which drains whatever has accumulated (up to `max_batch`) and hands the
 //! batch to [`ServeEngine::tune_batch`] — so concurrent clients are batched
-//! together and an idle socket adds no latency (the first request of a
-//! batch is served immediately, not held for a timer). Control requests
-//! (`List`, `Stats`, ...) are answered inline by the connection's reader.
-//! Each connection has a single writer thread; every response — tune or
-//! control — goes through it, so frames never interleave.
+//! together, and the first request of a batch is served at once, not held
+//! for a batching timer. Control requests (`List`, `Stats`, ...) are
+//! answered inline by the connection's reader. Each connection has a single
+//! writer thread; every response — tune or control — goes through it, so
+//! frames never interleave.
+//!
+//! Nor does the socket hold a frame back. Every frame leaves as one write
+//! ([`crate::protocol::write_frame`]), and both ends set `TCP_NODELAY`: the
+//! daemon on every accepted connection, [`Client::connect`] on its own. A
+//! frame split over two writes without `TCP_NODELAY` waits in Nagle's
+//! algorithm for the peer's delayed acknowledgement of its first part
+//! (SERVING.md "The wire protocol").
 //!
 //! Under overload the daemon degrades by *refusing* work, never by
 //! computing it differently (DESIGN.md §17): a tune request that cannot
@@ -22,8 +29,8 @@
 use crate::engine::ServeEngine;
 use crate::protocol::{read_message, write_message, RejectReason, Request, Response};
 use pnp_core::serving::TuneRequest;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, Read, Stdout, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -131,13 +138,42 @@ fn dispatcher(engine: Arc<ServeEngine>, rx: mpsc::Receiver<Work>, max_batch: usi
     }
 }
 
+/// The outgoing half of a connection.
+trait Outgoing: Write + Send + 'static {
+    /// Ends the connection after a failed write, so its reader stops too.
+    fn close(&self);
+}
+
+impl Outgoing for TcpStream {
+    fn close(&self) {
+        // Already closed by the peer is fine: the reader sees EOF either way.
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+impl Outgoing for Stdout {
+    /// Standard output cannot be half-closed; the reader ends on its own
+    /// once a reply finds the writer gone.
+    fn close(&self) {}
+}
+
+/// Prepares an accepted connection: sets `TCP_NODELAY` and splits it into a
+/// buffered reader and a writer. Failing to set `TCP_NODELAY` is not fatal —
+/// the connection works, only with Nagle's algorithm on.
+fn accept_connection(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    let _ = stream.set_nodelay(true);
+    let writer = stream.try_clone()?;
+    Ok((BufReader::new(stream), writer))
+}
+
 /// Reads requests from `reader`, answering control requests inline and
 /// forwarding tune requests to the dispatcher; `writer` is owned by a
-/// dedicated thread draining the reply channel. Returns when the peer
-/// disconnects, sends garbage, or asks for shutdown.
+/// dedicated thread draining the reply channel, and a failed write (the
+/// peer is gone, or a response exceeds `MAX_FRAME`) closes the connection.
+/// Returns when the peer disconnects, sends garbage, or asks for shutdown.
 fn handle_streams(
     mut reader: impl Read,
-    mut writer: impl Write + Send + 'static,
+    mut writer: impl Outgoing,
     engine: &ServeEngine,
     work_tx: &mpsc::Sender<Work>,
     stop: &AtomicBool,
@@ -147,6 +183,7 @@ fn handle_streams(
     let writer_thread = thread::spawn(move || {
         for response in reply_rx {
             if write_message(&mut writer, &response).is_err() {
+                writer.close();
                 break;
             }
         }
@@ -241,9 +278,7 @@ pub fn serve(listener: TcpListener, engine: Arc<ServeEngine>, config: ServeConfi
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        let reader = stream;
-        let Ok(writer) = reader.try_clone() else {
+        let Ok((reader, writer)) = stream.and_then(accept_connection) else {
             continue;
         };
         let engine = engine.clone();
@@ -252,7 +287,7 @@ pub fn serve(listener: TcpListener, engine: Arc<ServeEngine>, config: ServeConfi
         let stop_accept = stop.clone();
         let config = config.clone();
         thread::spawn(move || {
-            handle_streams(&reader, writer, &engine, &work_tx, &stop_conn, &config);
+            handle_streams(reader, writer, &engine, &work_tx, &stop_conn, &config);
             // A shutdown request must also unblock the accept loop.
             if stop_accept.load(Ordering::SeqCst) {
                 if let Some(addr) = local {
@@ -296,11 +331,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon.
+    /// Connects to a daemon and sets `TCP_NODELAY` on the socket, so a
+    /// request frame is sent as soon as it is written (SERVING.md "The wire
+    /// protocol"). An error setting it is returned like a connect error.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// The peer address.
@@ -327,8 +364,74 @@ impl Client {
         read_message(&mut self.stream)?.ok_or_else(|| "server closed the connection".to_string())
     }
 
-    /// Hands out the raw stream for pipelined use.
+    /// Hands out the raw stream for pipelined use, `TCP_NODELAY` still
+    /// set. The client reads unbuffered, so no received bytes are left
+    /// behind in a buffer.
     pub fn into_stream(self) -> TcpStream {
         self.stream
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use pnp_core::registry::ModelRegistry;
+    use pnp_store::Store;
+    use std::sync::atomic::AtomicUsize;
+
+    /// An outgoing half whose every write fails, counting `close` calls.
+    struct BrokenPipe(Arc<AtomicUsize>);
+
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Outgoing for BrokenPipe {
+        fn close(&self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_failed_response_write_closes_the_connection() {
+        let dir = std::env::temp_dir().join(format!("pnp_server_close_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (engine, _) = ServeEngine::start(
+            ModelRegistry::open(Store::open(&dir)),
+            &EngineConfig { workers: 1 },
+        );
+        let mut wire = Vec::new();
+        write_message(&mut wire, &Request::Ping).unwrap();
+        let closes = Arc::new(AtomicUsize::new(0));
+        let (work_tx, _work_rx) = mpsc::channel();
+        handle_streams(
+            wire.as_slice(),
+            BrokenPipe(closes.clone()),
+            &engine,
+            &work_tx,
+            &AtomicBool::new(false),
+            &ServeConfig::new(DEFAULT_MAX_BATCH, 0, Arc::new(Instant::now)),
+        );
+        assert_eq!(closes.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn client_and_daemon_sockets_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle on");
+        let (reader, writer) = accept_connection(accepted).unwrap();
+        assert!(writer.nodelay().unwrap());
+        assert!(reader.get_ref().nodelay().unwrap());
+        assert!(client.into_stream().nodelay().unwrap());
     }
 }
