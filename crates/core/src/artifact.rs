@@ -11,11 +11,13 @@
 //!   also determines the Table I search space), suite fingerprint
 //!   (application names, region names, serialized workload profiles),
 //!   vocabulary fingerprint, and the store schema version.
-//! * **model grids** (`models/scenario1|scenario2|unseen_power`) — the
-//!   *content hash of the serialized dataset* the models were trained on
-//!   (so any dataset change invalidates every downstream model), every
-//!   training hyperparameter of [`TrainSettings`], the dynamic-feature flag
-//!   or held-out cap, and the seed-scheme tag [`SEED_SCHEME`].
+//! * **model grids** — [`DatasetCache::grid_key`]: the grid's kind and
+//!   variant field (dynamic-feature flag or held-out cap), both defined by
+//!   [`GridPipeline`]; the *content hash of the serialized dataset* the
+//!   models were trained on (so any dataset change invalidates every
+//!   downstream model); every training hyperparameter of [`TrainSettings`];
+//!   and the seed-scheme tag [`SEED_SCHEME`]. [`GridPipeline::from_key`]
+//!   and [`settings_from_key`] read a grid key back.
 //! * **experiment results** (`experiments/*`) — the dataset hash(es) plus
 //!   the hyperparameters, for results that are cheap to re-derive from
 //!   models but expensive to recompute from scratch (ablation grids,
@@ -29,7 +31,7 @@
 //! exactly that drift (it recomputes on every hit and byte-compares).
 
 use crate::dataset::Dataset;
-use crate::training::TrainSettings;
+use crate::training::{GridPipeline, TrainSettings};
 use pnp_benchmarks::Application;
 use pnp_graph::Vocabulary;
 use pnp_machine::MachineSpec;
@@ -38,9 +40,9 @@ use pnp_store::sha256_hex;
 pub use pnp_store::{ArtifactKey, Store, StoreStats};
 
 /// Tag naming the deterministic per-job seeding scheme of the LOOCV training
-/// grids (DESIGN.md §10: `fold*16+power`, `0x2000+fold`,
-/// `0x4000+fold*8+cap`). Changing how jobs derive their seeds changes every
-/// trained weight, so the tag is part of every model key.
+/// grids (DESIGN.md §10; the offsets live in [`GridPipeline`]). Changing how
+/// jobs derive their seeds changes every trained weight, so the tag is part
+/// of every model key.
 pub const SEED_SCHEME: &str = "grid-v1";
 
 /// SHA-256 of a value's compact JSON serialization.
@@ -96,6 +98,40 @@ fn with_settings(key: ArtifactKey, s: &TrainSettings) -> ArtifactKey {
         .field("folds", s.folds)
         .field("seed", s.seed)
         .field("seed_scheme", SEED_SCHEME)
+}
+
+/// Reads back the [`TrainSettings`] a grid key was built with
+/// ([`DatasetCache::grid_key`]). Errors on a foreign seed scheme or a
+/// missing/unparseable field — a grid whose settings cannot be recovered
+/// cannot be replayed into correctly shaped, correctly seeded models.
+/// `train_threads` is no key field; it comes back as one worker (restoring
+/// checkpoints does not depend on it).
+pub fn settings_from_key(key: &ArtifactKey) -> Result<TrainSettings, String> {
+    let scheme = key.get("seed_scheme").unwrap_or("<missing>");
+    if scheme != SEED_SCHEME {
+        return Err(format!(
+            "uses seed scheme {scheme:?}, this build replays {SEED_SCHEME:?}"
+        ));
+    }
+    fn field<T: std::str::FromStr>(key: &ArtifactKey, name: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        key.get(name)
+            .ok_or_else(|| format!("key lacks field {name:?}"))?
+            .parse()
+            .map_err(|e| format!("field {name:?}: {e}"))
+    }
+    Ok(TrainSettings {
+        hidden_dim: field(key, "hidden_dim")?,
+        rgcn_layers: field(key, "rgcn_layers")?,
+        fc_hidden: field(key, "fc_hidden")?,
+        epochs: field(key, "epochs")?,
+        batch_size: field(key, "batch_size")?,
+        folds: field(key, "folds")?,
+        seed: field(key, "seed")?,
+        train_threads: Threads::Fixed(1),
+    })
 }
 
 /// A [`Store`] plus the domain key builders — the handle the experiment
@@ -209,7 +245,7 @@ impl ArtifactStore {
 ///
 /// ```
 /// use pnp_core::artifact::{dataset_fingerprint, ArtifactStore};
-/// use pnp_core::{Dataset, TrainSettings};
+/// use pnp_core::{Dataset, GridPipeline, TrainSettings};
 /// use pnp_graph::Vocabulary;
 /// use pnp_machine::haswell;
 /// use pnp_openmp::Threads;
@@ -219,9 +255,11 @@ impl ArtifactStore {
 ///     &haswell(), &[], &Vocabulary::standard(), Threads::Fixed(1));
 /// let cache = store.for_dataset(&ds);
 /// assert_eq!(cache.dataset_sha256(), dataset_fingerprint(&ds));
-/// let key = cache.scenario1_key(&TrainSettings::quick(), false);
+/// let pipeline = GridPipeline::Scenario1 { dynamic: false };
+/// let key = cache.grid_key(pipeline, &TrainSettings::quick());
 /// assert_eq!(key.get("dataset_sha256"), Some(cache.dataset_sha256()));
 /// assert_eq!(key.get("seed_scheme"), Some("grid-v1"));
+/// assert_eq!(GridPipeline::from_key(&key), Some(pipeline));
 /// ```
 #[derive(Debug)]
 pub struct DatasetCache<'a> {
@@ -240,35 +278,11 @@ impl DatasetCache<'_> {
         &self.dataset_sha256
     }
 
-    /// Key of the scenario-1 trained-model grid (one model per
-    /// `(fold, power level)`).
-    pub fn scenario1_key(&self, settings: &TrainSettings, use_dynamic: bool) -> ArtifactKey {
-        with_settings(
-            ArtifactKey::new("models/scenario1")
-                .field("dataset_sha256", &self.dataset_sha256)
-                .field("dynamic", use_dynamic),
-            settings,
-        )
-    }
-
-    /// Key of the scenario-2 (EDP) trained-model grid (one model per fold).
-    pub fn scenario2_key(&self, settings: &TrainSettings, use_dynamic: bool) -> ArtifactKey {
-        with_settings(
-            ArtifactKey::new("models/scenario2")
-                .field("dataset_sha256", &self.dataset_sha256)
-                .field("dynamic", use_dynamic),
-            settings,
-        )
-    }
-
-    /// Key of the unseen-power trained-model grid for one held-out cap.
-    pub fn unseen_power_key(&self, settings: &TrainSettings, held_out_power: usize) -> ArtifactKey {
-        with_settings(
-            ArtifactKey::new("models/unseen_power")
-                .field("dataset_sha256", &self.dataset_sha256)
-                .field("held_out_power", held_out_power),
-            settings,
-        )
+    /// Key of one trained-model grid: the pipeline's kind and variant
+    /// field ([`GridPipeline`]), the bound dataset hash, and every
+    /// hyperparameter.
+    pub fn grid_key(&self, pipeline: GridPipeline, settings: &TrainSettings) -> ArtifactKey {
+        with_settings(pipeline.key(&self.dataset_sha256), settings)
     }
 
     /// Key of the cached ablation results.
@@ -362,26 +376,131 @@ mod tests {
         assert_eq!(suite_fingerprint(&six), suite_fingerprint(&six));
     }
 
-    #[test]
-    fn model_keys_separate_pipelines_and_hyperparameters() {
-        let store = ArtifactStore::open("/tmp/unused");
+    fn empty_dataset_cache(store: &ArtifactStore) -> DatasetCache<'_> {
         let ds = Dataset::build_with_threads(
             &haswell(),
             &[],
             &Vocabulary::standard(),
             Threads::Fixed(1),
         );
-        let cache = store.for_dataset(&ds);
+        store.for_dataset(&ds)
+    }
+
+    const PIPELINES: [GridPipeline; 6] = [
+        GridPipeline::Scenario1 { dynamic: false },
+        GridPipeline::Scenario1 { dynamic: true },
+        GridPipeline::Scenario2 { dynamic: false },
+        GridPipeline::Scenario2 { dynamic: true },
+        GridPipeline::UnseenPower { held_out_power: 0 },
+        GridPipeline::UnseenPower { held_out_power: 3 },
+    ];
+
+    #[test]
+    fn model_keys_separate_pipelines_and_hyperparameters() {
+        let store = ArtifactStore::open("/tmp/unused");
+        let cache = empty_dataset_cache(&store);
         let quick = TrainSettings::quick();
         let mut longer = TrainSettings::quick();
         longer.epochs += 1;
-        let base = cache.scenario1_key(&quick, false).address();
-        assert_ne!(base, cache.scenario1_key(&quick, true).address());
-        assert_ne!(base, cache.scenario2_key(&quick, false).address());
-        assert_ne!(base, cache.scenario1_key(&longer, false).address());
+        let addresses: std::collections::BTreeSet<String> = PIPELINES
+            .iter()
+            .map(|&p| cache.grid_key(p, &quick).address())
+            .collect();
+        assert_eq!(addresses.len(), PIPELINES.len(), "one address per grid");
+        let s1 = GridPipeline::Scenario1 { dynamic: false };
         assert_ne!(
-            cache.unseen_power_key(&quick, 0).address(),
-            cache.unseen_power_key(&quick, 3).address()
+            cache.grid_key(s1, &quick).address(),
+            cache.grid_key(s1, &longer).address()
         );
+    }
+
+    /// Store addresses are the contract a warm store is replayed under: the
+    /// grid key must be exactly the field-by-field key earlier releases
+    /// wrote, or every stored grid turns into a miss.
+    #[test]
+    fn grid_keys_keep_their_stored_addresses() {
+        let store = ArtifactStore::open("/tmp/unused");
+        let cache = empty_dataset_cache(&store);
+        for settings in [TrainSettings::quick(), TrainSettings::full()] {
+            for pipeline in PIPELINES {
+                let (kind, variant, value) = match pipeline {
+                    GridPipeline::Scenario1 { dynamic } => {
+                        ("models/scenario1", "dynamic", dynamic.to_string())
+                    }
+                    GridPipeline::Scenario2 { dynamic } => {
+                        ("models/scenario2", "dynamic", dynamic.to_string())
+                    }
+                    GridPipeline::UnseenPower { held_out_power } => (
+                        "models/unseen_power",
+                        "held_out_power",
+                        held_out_power.to_string(),
+                    ),
+                };
+                let expected = ArtifactKey::new(kind)
+                    .field("dataset_sha256", cache.dataset_sha256())
+                    .field(variant, value)
+                    .field("hidden_dim", settings.hidden_dim)
+                    .field("rgcn_layers", settings.rgcn_layers)
+                    .field("fc_hidden", settings.fc_hidden)
+                    .field("epochs", settings.epochs)
+                    .field("batch_size", settings.batch_size)
+                    .field("folds", settings.folds)
+                    .field("seed", settings.seed)
+                    .field("seed_scheme", "grid-v1");
+                let key = cache.grid_key(pipeline, &settings);
+                assert_eq!(key, expected, "{pipeline:?}");
+                assert_eq!(key.address(), expected.address(), "{pipeline:?}");
+                assert_eq!(pipeline.kind(), kind);
+                assert_eq!(pipeline.name(), kind.trim_start_matches("models/"));
+            }
+        }
+    }
+
+    #[test]
+    fn grid_pipelines_and_settings_round_trip_through_their_key() {
+        let store = ArtifactStore::open("/tmp/unused");
+        let cache = empty_dataset_cache(&store);
+        for settings in [TrainSettings::quick(), TrainSettings::full()] {
+            for pipeline in PIPELINES {
+                let key = cache.grid_key(pipeline, &settings);
+                // Through the canonical text form, as the registry reads it.
+                let key = ArtifactKey::parse(&key.canonical()).unwrap();
+                assert_eq!(GridPipeline::from_key(&key), Some(pipeline));
+                let back = settings_from_key(&key).unwrap();
+                let expected = TrainSettings {
+                    train_threads: Threads::Fixed(1),
+                    ..settings.clone()
+                };
+                assert_eq!(format!("{back:?}"), format!("{expected:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn unreadable_grid_keys_are_refused() {
+        let store = ArtifactStore::open("/tmp/unused");
+        let cache = empty_dataset_cache(&store);
+        let settings = TrainSettings::quick();
+        // Other kinds, and grid kinds with a missing or garbled variant.
+        let not_grids = [
+            ArtifactKey::new("dataset").field("machine", "haswell"),
+            cache.ablations_key(&settings),
+            ArtifactKey::new("models/unseen_power").field("dataset_sha256", "x"),
+            ArtifactKey::new("models/scenario1").field("dynamic", "maybe"),
+            ArtifactKey::new("models/other").field("dynamic", true),
+        ];
+        for key in &not_grids {
+            assert_eq!(GridPipeline::from_key(key), None, "{}", key.canonical());
+        }
+        // A foreign seed scheme or a lost field cannot be replayed.
+        let key = cache.grid_key(GridPipeline::Scenario2 { dynamic: false }, &settings);
+        let foreign = ArtifactKey::parse(&key.canonical().replace("grid-v1", "grid-v0")).unwrap();
+        assert!(settings_from_key(&foreign)
+            .unwrap_err()
+            .contains("seed scheme"));
+        let no_epochs = ArtifactKey::parse(&key.canonical().replace("epochs", "epochz")).unwrap();
+        assert!(settings_from_key(&no_epochs)
+            .unwrap_err()
+            .contains("\"epochs\""));
     }
 }

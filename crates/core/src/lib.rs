@@ -51,8 +51,8 @@ pub use experiments::RunCtx;
 pub use pnp::PnPTuner;
 pub use registry::{DatasetDescriptor, ModelDescriptor, ModelRegistry, ModelSummary};
 pub use serving::{
-    resolve_graph, serving_tables, GridPipeline, KernelInput, ServingTables, TuneObjective,
-    TunePrediction, TuneRequest, TuneResponse, TuneService,
+    resolve_graph, serving_tables, KernelInput, ServingTables, TuneObjective, TunePrediction,
+    TuneRequest, TuneResponse, TuneService,
 };
-pub use training::{FoldPlan, TrainSettings};
+pub use training::{FoldPlan, GridPipeline, TrainSettings};
 pub use validate::ValidationReport;

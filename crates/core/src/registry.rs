@@ -1,6 +1,6 @@
-//! The model registry (ISSUE 7 tentpole): a typed view over the store index
-//! mapping `machine × suite × hyperparameters → TrainedGrid`, with O(1)
-//! lookup and `list`/`describe` APIs instead of directory walks.
+//! The model registry: a typed view over the store index mapping
+//! `machine × suite × hyperparameters → TrainedGrid`, with O(1) lookup and
+//! `list`/`describe` APIs instead of directory walks.
 //!
 //! The registry holds no state of its own — it is assembled entirely from
 //! the persisted [`StoreIndex`] (artifact headers only, no payload reads).
@@ -8,12 +8,14 @@
 //! training dataset's serialization (`dataset_sha256`), and for a *stored*
 //! dataset that hash is exactly the artifact header's `payload_sha256` — so
 //! models connect to their dataset (and through it to the machine and
-//! suite) via the index alone. DESIGN.md §14 documents this key contract.
+//! suite) via the index alone. Which grid a key names, and the settings it
+//! was trained under, are read back by [`GridPipeline::from_key`] and
+//! [`settings_from_key`] — the inverses of the key the training pipelines
+//! write. DESIGN.md §14 documents this key contract.
 
-use crate::artifact::SEED_SCHEME;
+use crate::artifact::settings_from_key;
 use crate::dataset::Dataset;
-use crate::training::{TrainSettings, TrainedGrid};
-use pnp_openmp::Threads;
+use crate::training::{GridPipeline, TrainSettings, TrainedGrid};
 use pnp_store::{ArtifactKey, IndexEntry, Store, StoreIndex};
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +49,9 @@ pub struct ModelDescriptor {
     pub dynamic: bool,
     /// Held-out power index (`models/unseen_power` only).
     pub held_out_power: Option<usize>,
+    /// The grid the key names (`pipeline`, `dynamic` and `held_out_power`
+    /// are its fields, spelled out for listing).
+    pub grid: GridPipeline,
     /// The `dataset_sha256` key field.
     pub dataset_sha256: String,
     /// Content address of the grid artifact.
@@ -83,42 +88,12 @@ impl ModelDescriptor {
     }
 
     /// Reconstructs the [`TrainSettings`] the grid was trained under from
-    /// the key's hyperparameter fields. Errors on a foreign seed scheme or
-    /// a missing/unparseable field — a grid whose settings cannot be
-    /// recovered cannot be restored into correctly shaped models.
+    /// the key's hyperparameter fields ([`settings_from_key`]). Errors on a
+    /// foreign seed scheme or a missing/unparseable field — a grid whose
+    /// settings cannot be recovered cannot be restored into correctly
+    /// shaped models.
     pub fn settings(&self) -> Result<TrainSettings, String> {
-        let scheme = self.key.get("seed_scheme").unwrap_or("<missing>");
-        if scheme != SEED_SCHEME {
-            return Err(format!(
-                "grid {} uses seed scheme {scheme:?}, this build replays {SEED_SCHEME:?}",
-                self.id
-            ));
-        }
-        let field = |name: &str| -> Result<usize, String> {
-            self.key
-                .get(name)
-                .ok_or_else(|| format!("grid {} key lacks field {name:?}", self.id))?
-                .parse::<usize>()
-                .map_err(|e| format!("grid {} field {name:?}: {e}", self.id))
-        };
-        let seed = self
-            .key
-            .get("seed")
-            .ok_or_else(|| format!("grid {} key lacks field \"seed\"", self.id))?
-            .parse::<u64>()
-            .map_err(|e| format!("grid {} field \"seed\": {e}", self.id))?;
-        Ok(TrainSettings {
-            hidden_dim: field("hidden_dim")?,
-            rgcn_layers: field("rgcn_layers")?,
-            fc_hidden: field("fc_hidden")?,
-            epochs: field("epochs")?,
-            batch_size: field("batch_size")?,
-            folds: field("folds")?,
-            seed,
-            // Irrelevant for restoring checkpoints (weights are fully
-            // overwritten); pinned for determinism anyway.
-            train_threads: Threads::Fixed(1),
-        })
+        settings_from_key(&self.key).map_err(|why| format!("grid {} {why}", self.id))
     }
 
     /// The wire summary.
@@ -143,13 +118,6 @@ pub struct ModelRegistry {
     models: Vec<ModelDescriptor>,
 }
 
-/// The model-grid artifact kinds the registry understands.
-const MODEL_KINDS: [&str; 3] = [
-    "models/scenario1",
-    "models/scenario2",
-    "models/unseen_power",
-];
-
 impl ModelRegistry {
     /// Opens the registry over a store: loads (or rebuilds) the persisted
     /// index, then joins model entries to dataset entries. O(index size) —
@@ -159,17 +127,21 @@ impl ModelRegistry {
         ModelRegistry::from_index(store, &index)
     }
 
-    /// [`ModelRegistry::open`] from an already-loaded index.
+    /// [`ModelRegistry::open`] from an already-loaded index. The registry
+    /// reads through a plain store on `store`'s root: the build-only modes
+    /// (force-rebuild, verify) would turn every load into a miss, and a
+    /// server has nothing to rebuild from.
     pub fn from_index(store: Store, index: &StoreIndex) -> ModelRegistry {
-        let parse = |entry: &IndexEntry| match ArtifactKey::parse(&entry.key) {
-            Ok(key) => Some(key),
-            Err(why) => {
-                eprintln!(
-                    "[pnp-serve] registry skips {} {} (unparseable key: {why})",
-                    entry.kind, entry.address
-                );
-                None
-            }
+        let skip = |entry: &IndexEntry, why: &str| {
+            eprintln!(
+                "[pnp-serve] registry skips {} {} (unparseable key: {why})",
+                entry.kind, entry.address
+            );
+        };
+        let parse = |entry: &IndexEntry| {
+            ArtifactKey::parse(&entry.key)
+                .map_err(|why| skip(entry, &why))
+                .ok()
         };
         let datasets: Vec<DatasetDescriptor> = index
             .of_kind("dataset")
@@ -185,43 +157,52 @@ impl ModelRegistry {
                 })
             })
             .collect();
-        let mut models = Vec::new();
-        for kind in MODEL_KINDS {
-            let pipeline = kind.trim_start_matches("models/").to_string();
-            for entry in index.of_kind(kind) {
-                let Some(key) = parse(entry) else { continue };
+        let models = index
+            .entries()
+            .iter()
+            .filter(|entry| entry.kind.starts_with(GridPipeline::KIND_PREFIX))
+            .filter_map(|entry| {
+                let key = parse(entry)?;
+                let Some(grid) = GridPipeline::from_key(&key) else {
+                    skip(entry, "no readable grid variant");
+                    return None;
+                };
                 let dataset_sha256 = key.get("dataset_sha256").unwrap_or_default().to_string();
                 let machine = datasets
                     .iter()
                     .find(|d| d.sha256 == dataset_sha256)
                     .map(|d| d.machine.clone());
-                let dynamic = key.get("dynamic") == Some("true");
-                let held_out_power = key.get("held_out_power").and_then(|v| v.parse().ok());
-                let variant = match held_out_power {
-                    Some(cap) => format!("cap{cap}"),
-                    None if dynamic => "dynamic".to_string(),
-                    None => "static".to_string(),
+                let (dynamic, held_out_power, variant) = match grid {
+                    GridPipeline::Scenario1 { dynamic } | GridPipeline::Scenario2 { dynamic } => {
+                        let variant = if dynamic { "dynamic" } else { "static" };
+                        (dynamic, None, variant.to_string())
+                    }
+                    GridPipeline::UnseenPower { held_out_power } => {
+                        (false, Some(held_out_power), format!("cap{held_out_power}"))
+                    }
                 };
                 let id = format!(
-                    "{}/{pipeline}/{variant}@{}",
+                    "{}/{}/{variant}@{}",
                     machine.as_deref().unwrap_or("unjoined"),
-                    &entry.address[..12]
+                    grid.name(),
+                    entry.address.get(..12).unwrap_or(&entry.address)
                 );
-                models.push(ModelDescriptor {
+                Some(ModelDescriptor {
                     id,
-                    pipeline: pipeline.clone(),
+                    pipeline: grid.name().to_string(),
                     machine,
                     dynamic,
                     held_out_power,
+                    grid,
                     dataset_sha256,
                     address: entry.address.clone(),
                     payload_len: entry.payload_len,
                     key,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         ModelRegistry {
-            store,
+            store: Store::open(store.root()),
             generation: index.generation().to_string(),
             datasets,
             models,
@@ -316,6 +297,7 @@ mod tests {
     use crate::artifact::ArtifactStore;
     use pnp_graph::Vocabulary;
     use pnp_machine::haswell;
+    use pnp_openmp::Threads;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -340,18 +322,16 @@ mod tests {
             jobs: vec![(0, 0)],
             weights: vec![pnp_tensor::ParameterBundle::default()],
         };
-        store
-            .store()
-            .save(&cache.scenario1_key(&settings, false), &grid)
-            .unwrap();
-        store
-            .store()
-            .save(&cache.scenario1_key(&settings, true), &grid)
-            .unwrap();
-        store
-            .store()
-            .save(&cache.unseen_power_key(&settings, 3), &grid)
-            .unwrap();
+        for pipeline in [
+            GridPipeline::Scenario1 { dynamic: false },
+            GridPipeline::Scenario1 { dynamic: true },
+            GridPipeline::UnseenPower { held_out_power: 3 },
+        ] {
+            store
+                .store()
+                .save(&cache.grid_key(pipeline, &settings), &grid)
+                .unwrap();
+        }
         (ds, settings)
     }
 
@@ -440,7 +420,13 @@ mod tests {
         };
         store
             .store()
-            .save(&cache.scenario2_key(&TrainSettings::quick(), false), &grid)
+            .save(
+                &cache.grid_key(
+                    GridPipeline::Scenario2 { dynamic: false },
+                    &TrainSettings::quick(),
+                ),
+                &grid,
+            )
             .unwrap();
         let registry = ModelRegistry::open(Store::open(&dir));
         assert_eq!(registry.datasets().len(), 0);
@@ -450,6 +436,44 @@ mod tests {
         assert!(model.id.starts_with("unjoined/scenario2/static@"));
         assert_eq!(model.summary().machine, "unjoined");
         assert!(registry.dataset_of(model).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_grid_key_without_its_variant_is_skipped_not_served_as_cap_0() {
+        let dir = temp_dir("no_variant");
+        seed_store(&dir);
+        // An unseen-power grid whose key lost `held_out_power`: readable as
+        // a key, but it names no grid this build can restore.
+        let store = ArtifactStore::open(&dir);
+        let orphan = ArtifactKey::new("models/unseen_power").field("dataset_sha256", "x");
+        let grid = TrainedGrid {
+            jobs: vec![],
+            weights: vec![],
+        };
+        store.store().save(&orphan, &grid).unwrap();
+        let registry = ModelRegistry::open(Store::open(&dir));
+        assert_eq!(registry.models().len(), 3, "the seeded grids stay listed");
+        assert!(registry.models().iter().all(|m| m.key() != &orphan));
+        let caps: Vec<_> = registry
+            .models()
+            .iter()
+            .filter_map(|m| m.held_out_power)
+            .collect();
+        assert_eq!(caps, vec![3], "no grid is read as cap 0");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn descriptors_carry_the_grid_their_key_names() {
+        let dir = temp_dir("grid");
+        seed_store(&dir);
+        let registry = ModelRegistry::open(Store::open(&dir));
+        for model in registry.models() {
+            assert_eq!(GridPipeline::from_key(model.key()), Some(model.grid));
+            assert_eq!(model.pipeline, model.grid.name());
+            assert!(model.id.contains(&format!("/{}/", model.grid.name())));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,8 +1,11 @@
-//! The serve path (ISSUE 7): request/response wire types, sweep-derived
-//! serving tables, checkpoint restoration for cached [`TrainedGrid`]s, and
-//! the committee predictor — everything the `pnp-serve` daemon needs that
-//! must live *next to the training pipelines* so served predictions are
-//! bit-identical to offline ones (DESIGN.md §14).
+//! The serve path: request/response wire types, sweep-derived serving
+//! tables, checkpoint restoration for cached [`TrainedGrid`]s, and the
+//! committee predictor — everything the `pnp-serve` daemon needs that must
+//! live *next to the training pipelines* so served predictions are
+//! bit-identical to offline ones (DESIGN.md §14). What a grid is — its
+//! model shape, per-job seeds, and fit check — is not restated here:
+//! [`restore_grid`] restores through the same [`GridPipeline`] the training
+//! pipelines replay through.
 //!
 //! The split mirrors ARCHITECTURE.md §9: this module is the inference
 //! engine (pure, deterministic, no I/O beyond what callers hand it); the
@@ -15,6 +18,7 @@
 //! structural: both paths share one committee and one prediction builder.
 
 use crate::dataset::Dataset;
+pub use crate::training::GridPipeline;
 use crate::training::{TrainSettings, TrainedGrid};
 use pnp_gnn::{BatchError, GraphBatch, PnPModel};
 use pnp_graph::{build_region_graph, EdgeFlow, EncodedGraph, Vocabulary};
@@ -23,8 +27,10 @@ use pnp_openmp::OmpConfig;
 use pnp_tuners::{ConfigPoint, SearchSpace};
 use serde::{Deserialize, Serialize};
 
-/// What one tune request optimizes for.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// What one tune request optimizes for. The derived order — every
+/// `Time` by power index, then `Edp` — is the order batches dispatch their
+/// objective groups in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TuneObjective {
     /// Best execution time at power level `power_idx` of the machine's
     /// search space (scenario 1).
@@ -230,69 +236,15 @@ pub fn serving_tables(ds: &Dataset) -> ServingTables {
     }
 }
 
-/// Which cached training grid a checkpoint set belongs to — determines the
-/// per-job model shape and the `grid-v1` seed offsets (DESIGN.md §10), so a
-/// checkpoint can be restored into an identically seeded model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum GridPipeline {
-    /// `models/scenario1`: one model per `(fold, power)`.
-    Scenario1 {
-        /// Counter-features variant.
-        dynamic: bool,
-    },
-    /// `models/scenario2`: one model per fold over the joint class space.
-    Scenario2 {
-        /// Counter-features variant.
-        dynamic: bool,
-    },
-    /// `models/unseen_power`: one model per fold, trained without one cap.
-    UnseenPower {
-        /// The held-out power index.
-        held_out_power: usize,
-    },
-}
-
-impl GridPipeline {
-    fn num_classes(&self, ds: &Dataset) -> usize {
-        match self {
-            GridPipeline::Scenario2 { .. } => ds.space.num_tuned_points(),
-            _ => ds.space.configs_per_power(),
-        }
-    }
-
-    fn num_dynamic(&self) -> usize {
-        match self {
-            GridPipeline::Scenario1 { dynamic } | GridPipeline::Scenario2 { dynamic } => {
-                if *dynamic {
-                    5
-                } else {
-                    0
-                }
-            }
-            GridPipeline::UnseenPower { .. } => 6,
-        }
-    }
-
-    fn seed_offset(&self, fold_idx: usize, power_idx: usize) -> u64 {
-        match self {
-            GridPipeline::Scenario1 { .. } => (fold_idx * 16 + power_idx) as u64,
-            GridPipeline::Scenario2 { .. } => 0x2000 + fold_idx as u64,
-            GridPipeline::UnseenPower { held_out_power } => {
-                0x4000 + (fold_idx * 8 + held_out_power) as u64
-            }
-        }
-    }
-}
-
 /// A restored grid: `(grid coordinates, model)` per job, in grid order.
 pub type RestoredGrid = Vec<((usize, usize), PnPModel)>;
 
 /// Restores every checkpoint of a cached grid into a freshly seeded model of
 /// the pipeline's shape, returning `(grid coordinates, model)` per job in
 /// grid order. Errors (rather than silently misapplying weights) when a
-/// checkpoint does not fit — wrong tensor count, names, or shapes, the
-/// "unfit checkpoint" failure mode SERVING.md documents: the caller skips
-/// that grid and keeps serving from the ones that load.
+/// checkpoint does not fit — the [`GridPipeline`] fit check, the "unfit
+/// checkpoint" failure mode SERVING.md documents: the caller skips that
+/// grid and keeps serving from the ones that load.
 pub fn restore_grid(
     ds: &Dataset,
     settings: &TrainSettings,
@@ -306,27 +258,11 @@ pub fn restore_grid(
             grid.weights.len()
         ));
     }
-    let num_classes = pipeline.num_classes(ds);
-    let num_dynamic = pipeline.num_dynamic();
-    let mut models = Vec::with_capacity(grid.jobs.len());
-    for (&(fold_idx, power_idx), checkpoint) in grid.jobs.iter().zip(&grid.weights) {
-        let mut model = PnPModel::new(settings.model_config(
-            num_classes,
-            num_dynamic,
-            pipeline.seed_offset(fold_idx, power_idx),
-        ));
-        let restored = model.load_all_weights(checkpoint);
-        if restored != model.num_parameters() || checkpoint.len() != restored {
-            return Err(format!(
-                "checkpoint for job (fold {fold_idx}, power {power_idx}) does not fit: \
-                 {restored}/{} tensors restored, {} stored",
-                model.num_parameters(),
-                checkpoint.len()
-            ));
-        }
-        models.push(((fold_idx, power_idx), model));
-    }
-    Ok(models)
+    grid.jobs
+        .iter()
+        .zip(&grid.weights)
+        .map(|(&at, checkpoint)| Ok((at, pipeline.restore(ds, settings, at, checkpoint)?)))
+        .collect()
 }
 
 /// The committee's prior-blend argmax over summed fold probabilities:
@@ -462,26 +398,36 @@ impl TuneService {
         &self.machine
     }
 
-    /// Packages a scenario-1 class prediction for `power_idx`.
-    fn time_prediction(&self, power_idx: usize, class: usize) -> TunePrediction {
-        TunePrediction {
-            class,
-            point: ConfigPoint {
-                power_watts: self.space.power_levels[power_idx],
-                omp: self.omp_configs[class],
-            },
-            expected_gain: self.tables.expected_speedup[power_idx][class],
-            model: self.time_model_id.clone(),
+    /// The committee and class prior that answer `objective`. The power
+    /// index must have passed [`TuneService::check_power_idx`].
+    fn committee(&self, objective: TuneObjective) -> (&[PnPModel], &[f64]) {
+        match objective {
+            TuneObjective::Time { power_idx } => {
+                (&self.time[power_idx], &self.tables.time_priors[power_idx])
+            }
+            TuneObjective::Edp => (&self.edp, &self.tables.edp_prior),
         }
     }
 
-    /// Packages a scenario-2 joint-class prediction.
-    fn edp_prediction(&self, class: usize) -> TunePrediction {
-        TunePrediction {
-            class,
-            point: self.space.decode_joint(class),
-            expected_gain: self.tables.expected_edp_gain[class],
-            model: self.edp_model_id.clone(),
+    /// Packages a predicted class: a per-power OpenMP class for the time
+    /// objective, a joint class for EDP.
+    fn prediction(&self, objective: TuneObjective, class: usize) -> TunePrediction {
+        match objective {
+            TuneObjective::Time { power_idx } => TunePrediction {
+                class,
+                point: ConfigPoint {
+                    power_watts: self.space.power_levels[power_idx],
+                    omp: self.omp_configs[class],
+                },
+                expected_gain: self.tables.expected_speedup[power_idx][class],
+                model: self.time_model_id.clone(),
+            },
+            TuneObjective::Edp => TunePrediction {
+                class,
+                point: self.space.decode_joint(class),
+                expected_gain: self.tables.expected_edp_gain[class],
+                model: self.edp_model_id.clone(),
+            },
         }
     }
 
@@ -526,42 +472,27 @@ impl TuneService {
             (0..requests.len()).map(|_| None).collect();
 
         // Resolve every kernel up front; failures settle their slot now.
-        // Objective key: (0, power_idx) for time, (1, 0) for EDP.
-        let mut groups: std::collections::BTreeMap<(usize, usize), Vec<(usize, EncodedGraph)>> =
+        let mut groups: std::collections::BTreeMap<TuneObjective, Vec<(usize, EncodedGraph)>> =
             std::collections::BTreeMap::new();
         for (i, (kernel, objective)) in requests.iter().enumerate() {
-            let (key, valid) = match objective {
-                TuneObjective::Time { power_idx } => {
-                    ((0, *power_idx), self.check_power_idx(*power_idx))
-                }
-                TuneObjective::Edp => ((1, 0), Ok(())),
+            let valid = match objective {
+                TuneObjective::Time { power_idx } => self.check_power_idx(*power_idx),
+                TuneObjective::Edp => Ok(()),
             };
             match valid.and_then(|()| resolve_graph(kernel, &self.vocab)) {
-                Ok(graph) => groups.entry(key).or_default().push((i, graph)),
+                Ok(graph) => groups.entry(*objective).or_default().push((i, graph)),
                 Err(why) => slots[i] = Some(Err(why)),
             }
         }
 
-        for ((objective_kind, power_idx), members) in groups {
+        for (objective, members) in groups {
             let (indices, group): (Vec<usize>, Vec<&EncodedGraph>) =
                 members.iter().map(|(i, graph)| (*i, graph)).unzip();
-            let classes = if objective_kind == 0 {
-                committee_predict_batch(
-                    &self.time[power_idx],
-                    &group,
-                    &self.tables.time_priors[power_idx],
-                )
-            } else {
-                committee_predict_batch(&self.edp, &group, &self.tables.edp_prior)
-            };
-            match classes {
+            let (committee, prior) = self.committee(objective);
+            match committee_predict_batch(committee, &group, prior) {
                 Ok(classes) => {
                     for (&i, class) in indices.iter().zip(classes) {
-                        slots[i] = Some(Ok(if objective_kind == 0 {
-                            self.time_prediction(power_idx, class)
-                        } else {
-                            self.edp_prediction(class)
-                        }));
+                        slots[i] = Some(Ok(self.prediction(objective, class)));
                     }
                 }
                 // Unreachable for graphs that passed `resolve_graph`, but a
@@ -639,14 +570,14 @@ mod tests {
         let cache = store.for_dataset(&ds);
         train_scenario1_models_cached(&ds, &settings, false, Some(&cache));
         train_scenario2_model_cached(&ds, &settings, false, Some(&cache));
-        let s1: TrainedGrid = cache
-            .store()
-            .load(&cache.scenario1_key(&settings, false))
-            .expect("scenario1 grid cached");
-        let s2: TrainedGrid = cache
-            .store()
-            .load(&cache.scenario2_key(&settings, false))
-            .expect("scenario2 grid cached");
+        let load = |pipeline| -> TrainedGrid {
+            cache
+                .store()
+                .load(&cache.grid_key(pipeline, &settings))
+                .expect("static grid cached")
+        };
+        let s1 = load(GridPipeline::Scenario1 { dynamic: false });
+        let s2 = load(GridPipeline::Scenario2 { dynamic: false });
         (ds, settings, s1, s2, store)
     }
 

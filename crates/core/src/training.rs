@@ -8,8 +8,8 @@
 //! jobs — one model per `(fold, power level)` pair for scenario 1, one per
 //! fold for scenario 2 and the unseen-power variant. Since PR 3 these jobs
 //! fan out over the in-tree OpenMP executor (`pnp_openmp::par`): each job
-//! carries its own deterministic seed (derived from its grid coordinates,
-//! e.g. `fold_idx * 16 + power_idx`), trains in isolation, and returns its
+//! carries its own deterministic seed (derived from its grid coordinates by
+//! [`GridPipeline`]), trains in isolation, and returns its
 //! held-out predictions, which are written back into the prediction matrix
 //! by `(region, power)` index. Because no float ever crosses a job boundary
 //! and the seeds do not depend on the worker count, the trained models and
@@ -37,9 +37,10 @@ use crate::dataset::Dataset;
 use pnp_gnn::train::OptimizerKind;
 use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
 use pnp_graph::Vocabulary;
-use pnp_openmp::{parallel_map_indexed, Threads};
+use pnp_openmp::{parallel_map, Threads};
 use pnp_tensor::ParameterBundle;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Model/training sizes. `quick` keeps the whole evaluation tractable on a
@@ -342,15 +343,180 @@ fn scenario1_samples(
         .collect()
 }
 
-/// One scenario-1 training job: `(fold_idx, power_idx, train_idx, val_idx)`.
-/// The index vectors are shared (`Arc`) across a fold's per-power jobs
-/// rather than cloned into each.
-type Scenario1Job = (
-    usize,
-    usize,
-    std::sync::Arc<Vec<usize>>,
-    std::sync::Arc<Vec<usize>>,
-);
+/// One LOOCV model grid, and the one place that says what such a grid is
+/// (DESIGN.md §10, §12): its artifact kind and key fields, the shape of its
+/// per-job models, and the `grid-v1` seed offset of every job. The
+/// `train_*_cached` pipelines train and replay through it, the store keys
+/// it ([`DatasetCache::grid_key`]), the model registry reads it back from a
+/// key ([`GridPipeline::from_key`]), and the serve path restores with it
+/// ([`crate::serving::restore_grid`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GridPipeline {
+    /// `models/scenario1`: one model per `(fold, power)`.
+    Scenario1 {
+        /// Counter-features variant.
+        dynamic: bool,
+    },
+    /// `models/scenario2`: one model per fold over the joint class space.
+    Scenario2 {
+        /// Counter-features variant.
+        dynamic: bool,
+    },
+    /// `models/unseen_power`: one model per fold, trained without one cap.
+    UnseenPower {
+        /// The held-out power index.
+        held_out_power: usize,
+    },
+}
+
+/// The PAPI-style counters a dynamic model reads (`Dataset::dynamic_features`).
+const COUNTERS: usize = 5;
+
+impl GridPipeline {
+    /// The artifact-kind prefix every model grid shares.
+    pub(crate) const KIND_PREFIX: &'static str = "models/";
+
+    /// The artifact kind the grid is stored under.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            GridPipeline::Scenario1 { .. } => "models/scenario1",
+            GridPipeline::Scenario2 { .. } => "models/scenario2",
+            GridPipeline::UnseenPower { .. } => "models/unseen_power",
+        }
+    }
+
+    /// The pipeline name: `scenario1`, `scenario2` or `unseen_power`.
+    pub fn name(&self) -> &'static str {
+        self.kind().trim_start_matches(Self::KIND_PREFIX)
+    }
+
+    /// The grid's key without its hyperparameters: kind, training-dataset
+    /// hash, and the variant field ([`DatasetCache::grid_key`] adds the
+    /// rest).
+    pub(crate) fn key(&self, dataset_sha256: &str) -> ArtifactKey {
+        let key = ArtifactKey::new(self.kind()).field("dataset_sha256", dataset_sha256);
+        match *self {
+            GridPipeline::Scenario1 { dynamic } | GridPipeline::Scenario2 { dynamic } => {
+                key.field("dynamic", dynamic)
+            }
+            GridPipeline::UnseenPower { held_out_power } => {
+                key.field("held_out_power", held_out_power)
+            }
+        }
+    }
+
+    /// Reads the pipeline back from a grid key: `None` for any other kind,
+    /// or when the variant field is missing or unparseable.
+    pub fn from_key(key: &ArtifactKey) -> Option<GridPipeline> {
+        let dynamic = || key.get("dynamic")?.parse().ok();
+        Some(match key.kind() {
+            "models/scenario1" => GridPipeline::Scenario1 {
+                dynamic: dynamic()?,
+            },
+            "models/scenario2" => GridPipeline::Scenario2 {
+                dynamic: dynamic()?,
+            },
+            "models/unseen_power" => GridPipeline::UnseenPower {
+                held_out_power: key.get("held_out_power")?.parse().ok()?,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Job `(fold_idx, power_idx)`'s model: the grid's class count and
+    /// dynamic width (the counters, plus the normalized cap for the
+    /// unseen-power grid), seeded `settings.seed ^ offset` from the job's
+    /// grid coordinates — never from execution order (DESIGN.md §10).
+    pub(crate) fn model_config(
+        &self,
+        ds: &Dataset,
+        settings: &TrainSettings,
+        (fold_idx, power_idx): (usize, usize),
+    ) -> ModelConfig {
+        let counters = |dynamic: bool| if dynamic { COUNTERS } else { 0 };
+        let (num_classes, num_dynamic, seed_offset) = match *self {
+            GridPipeline::Scenario1 { dynamic } => (
+                ds.space.configs_per_power(),
+                counters(dynamic),
+                fold_idx * 16 + power_idx,
+            ),
+            GridPipeline::Scenario2 { dynamic } => (
+                ds.space.num_tuned_points(),
+                counters(dynamic),
+                0x2000 + fold_idx,
+            ),
+            GridPipeline::UnseenPower { held_out_power } => (
+                ds.space.configs_per_power(),
+                COUNTERS + 1,
+                0x4000 + fold_idx * 8 + held_out_power,
+            ),
+        };
+        settings.model_config(num_classes, num_dynamic, seed_offset as u64)
+    }
+
+    /// The fit check: restores job `at`'s checkpoint into a freshly seeded
+    /// model, or says why it does not fit (tensor count, names or shapes —
+    /// possible only when code drifted under an unchanged store schema).
+    /// Warm replay retrains an unfit job; the serve path skips its grid.
+    pub(crate) fn restore(
+        &self,
+        ds: &Dataset,
+        settings: &TrainSettings,
+        at: (usize, usize),
+        checkpoint: &ParameterBundle,
+    ) -> Result<PnPModel, String> {
+        let mut model = PnPModel::new(self.model_config(ds, settings, at));
+        let restored = model.load_all_weights(checkpoint);
+        if restored == model.num_parameters() && checkpoint.len() == restored {
+            return Ok(model);
+        }
+        Err(format!(
+            "{} checkpoint for job (fold {}, power {}) does not fit: \
+             {restored}/{} tensors restored, {} stored",
+            self.name(),
+            at.0,
+            at.1,
+            model.num_parameters(),
+            checkpoint.len()
+        ))
+    }
+}
+
+/// One training job of a grid: its coordinates `(fold_idx, power_idx)`
+/// (`power_idx` is 0 for the per-fold grids) and its fold's region split.
+/// The index vectors are shared (`Arc`) across a fold's per-power jobs.
+struct Job {
+    at: (usize, usize),
+    train_idx: Arc<Vec<usize>>,
+    val_idx: Arc<Vec<usize>>,
+}
+
+/// A grid's job plan, in dispatch order. Degenerate folds (nothing to train
+/// on or nothing to validate on) dispatch no job.
+fn grid_jobs(ds: &Dataset, settings: &TrainSettings, pipeline: GridPipeline) -> Vec<Job> {
+    let per_fold = match pipeline {
+        GridPipeline::Scenario1 { .. } => ds.space.power_levels.len(),
+        _ => 1,
+    };
+    FoldPlan::new(&ds.applications(), settings.folds)
+        .held_out
+        .iter()
+        .enumerate()
+        .flat_map(|(fold_idx, held_out)| {
+            let (val_idx, train_idx): (Vec<usize>, Vec<usize>) =
+                (0..ds.len()).partition(|&i| held_out.contains(&ds.regions[i].app));
+            let split = (!train_idx.is_empty() && !val_idx.is_empty())
+                .then(|| (Arc::new(train_idx), Arc::new(val_idx)));
+            split.into_iter().flat_map(move |(train_idx, val_idx)| {
+                (0..per_fold).map(move |power_idx| Job {
+                    at: (fold_idx, power_idx),
+                    train_idx: train_idx.clone(),
+                    val_idx: val_idx.clone(),
+                })
+            })
+        })
+        .collect()
+}
 
 /// A cross-validated pipeline's trained checkpoints — the artifact the
 /// content-addressed store persists for each `train_*` pipeline.
@@ -368,93 +534,89 @@ pub struct TrainedGrid {
     pub weights: Vec<ParameterBundle>,
 }
 
-/// The job-grid choreography shared by every `train_*_cached` pipeline,
-/// returning the per-job predictions. Without a cache each job trains and
-/// predicts. With one, the [`TrainedGrid`] for `key` is loaded (trained and
-/// saved on a miss) and retrained-and-overwritten when it does not match
-/// the current job plan (`coords`); each job then restores its checkpoint
-/// into a freshly seeded model from `make_model`, with a per-job retraining
-/// fallback, and predicts. All closures are indexed by job position,
-/// matching `coords`.
+/// The job-grid choreography shared by every `train_*_cached` pipeline:
+/// plans `pipeline`'s jobs and returns each with its held-out predictions,
+/// in dispatch order. Every job's model is seeded by `pipeline` from its
+/// grid coordinates, then trained in place by `train_job`. Without a cache
+/// each job trains and predicts. With one, the [`TrainedGrid`] under
+/// [`DatasetCache::grid_key`] is loaded (trained and saved on a miss) and
+/// retrained-and-overwritten when it does not match the job plan; each job
+/// then restores its checkpoint through the [`GridPipeline`] fit check,
+/// retraining that job alone when it does not fit, and predicts.
 fn replay_or_train(
-    cached: Option<(&DatasetCache, ArtifactKey)>,
-    pipeline: &str,
-    coords: Vec<(usize, usize)>,
-    threads: Threads,
-    make_model: &(impl Fn(usize) -> PnPModel + Sync),
-    train_job: &(impl Fn(usize) -> PnPModel + Sync),
-    predict_job: &(impl Fn(usize, &PnPModel) -> Vec<usize> + Sync),
-) -> Vec<Vec<usize>> {
-    let n = coords.len();
-    let Some((cache, key)) = cached else {
-        return parallel_map_indexed(n, threads, |j| predict_job(j, &train_job(j)));
-    };
-    let train_grid = || TrainedGrid {
-        jobs: coords.clone(),
-        weights: parallel_map_indexed(n, threads, |j| train_job(j).all_weights()),
-    };
-    let mut grid = cache.store().load_or_build(&key, train_grid);
-    // Coordinates AND weight count must fit the current plan — a grid from
-    // drifted code could match one but not the other, and the replay below
-    // indexes `weights[j]`, which must degrade to retraining, never panic.
-    if grid.jobs != coords || grid.weights.len() != coords.len() {
-        eprintln!(
-            "[pnp-store] cached {pipeline} grid does not match the current fold plan; \
-             retraining"
-        );
-        grid = train_grid();
-        if let Err(e) = cache.store().save(&key, &grid) {
-            eprintln!("[pnp-store] could not overwrite stale grid: {e}");
-        }
-    }
-    parallel_map_indexed(n, threads, |j| {
-        let model = restore_or_retrain(make_model(j), &grid.weights[j], pipeline, || train_job(j));
-        predict_job(j, &model)
-    })
-}
-
-/// Restores job `i`'s checkpoint into a freshly seeded model, or retrains
-/// the job when the checkpoint does not fit the model (wrong tensor count /
-/// names / shapes — possible only when code drifted under an unchanged
-/// store schema; the fallback keeps a stale store degraded, not fatal).
-fn restore_or_retrain(
-    mut model: PnPModel,
-    checkpoint: &ParameterBundle,
-    pipeline: &str,
-    retrain: impl FnOnce() -> PnPModel,
-) -> PnPModel {
-    let restored = model.load_all_weights(checkpoint);
-    if restored == model.num_parameters() && checkpoint.len() == restored {
+    ds: &Dataset,
+    settings: &TrainSettings,
+    pipeline: GridPipeline,
+    cache: Option<&DatasetCache>,
+    train_job: &(impl Fn(&Job, &mut PnPModel) + Sync),
+    predict_job: &(impl Fn(&Job, &PnPModel) -> Vec<usize> + Sync),
+) -> Vec<(Job, Vec<usize>)> {
+    let jobs = grid_jobs(ds, settings, pipeline);
+    let threads = settings.train_threads;
+    let train = |job: &Job| {
+        let mut model = PnPModel::new(pipeline.model_config(ds, settings, job.at));
+        train_job(job, &mut model);
         model
-    } else {
-        eprintln!(
-            "[pnp-store] {pipeline} checkpoint does not fit the current model \
-             ({restored}/{} tensors restored, {} stored); retraining this job",
-            model.num_parameters(),
-            checkpoint.len()
-        );
-        retrain()
-    }
+    };
+    let predictions = match cache {
+        None => parallel_map(&jobs, threads, |job| predict_job(job, &train(job))),
+        Some(cache) => {
+            let key = cache.grid_key(pipeline, settings);
+            let coords: Vec<(usize, usize)> = jobs.iter().map(|job| job.at).collect();
+            let train_grid = || TrainedGrid {
+                jobs: coords.clone(),
+                weights: parallel_map(&jobs, threads, |job| train(job).all_weights()),
+            };
+            let mut grid = cache.store().load_or_build(&key, train_grid);
+            // Coordinates AND weight count must fit the current plan — a
+            // grid from drifted code could match one but not the other, and
+            // a short weight list would silently drop jobs from the replay.
+            if grid.jobs != coords || grid.weights.len() != coords.len() {
+                eprintln!(
+                    "[pnp-store] cached {} grid does not match the current fold plan; \
+                     retraining",
+                    pipeline.name()
+                );
+                grid = train_grid();
+                if let Err(e) = cache.store().save(&key, &grid) {
+                    eprintln!("[pnp-store] could not overwrite stale grid: {e}");
+                }
+            }
+            let replays: Vec<(&Job, &ParameterBundle)> = jobs.iter().zip(&grid.weights).collect();
+            parallel_map(&replays, threads, |&(job, checkpoint)| {
+                let model = pipeline
+                    .restore(ds, settings, job.at, checkpoint)
+                    .unwrap_or_else(|why| {
+                        eprintln!("[pnp-store] {why}; retraining this job");
+                        train(job)
+                    });
+                predict_job(job, &model)
+            })
+        }
+    };
+    jobs.into_iter().zip(predictions).collect()
 }
 
-/// Per-fold `(fold_idx, train_idx, val_idx)` region splits, dropping folds
-/// that are degenerate (nothing to train on or nothing to validate on) so
-/// the training fan-outs only dispatch real jobs.
-fn fold_region_splits(ds: &Dataset, folds: &FoldPlan) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
-    folds
-        .held_out
-        .iter()
-        .enumerate()
-        .filter_map(|(fold_idx, held_out)| {
-            let train_idx: Vec<usize> = (0..ds.len())
-                .filter(|&i| !held_out.contains(&ds.regions[i].app))
-                .collect();
-            let val_idx: Vec<usize> = (0..ds.len())
-                .filter(|&i| held_out.contains(&ds.regions[i].app))
-                .collect();
-            (!train_idx.is_empty() && !val_idx.is_empty()).then_some((fold_idx, train_idx, val_idx))
-        })
-        .collect()
+/// Predicts a validation fold through one fused block-diagonal forward —
+/// bit-identical to the per-region loop (DESIGN.md §15). `counters` names
+/// the `(power_idx, include_power)` the dynamic features are read at, for
+/// a model that takes them.
+fn predict_fold(
+    model: &PnPModel,
+    ds: &Dataset,
+    val_idx: &[usize],
+    counters: Option<(usize, bool)>,
+    prior: &[f64],
+) -> Vec<usize> {
+    let graphs: Vec<&pnp_graph::EncodedGraph> =
+        val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
+    let dynamic: Option<Vec<Vec<f32>>> = counters.map(|(p, include_power)| {
+        val_idx
+            .iter()
+            .map(|&i| ds.dynamic_features(i, p, include_power))
+            .collect()
+    });
+    predict_with_prior_batch(model, &graphs, dynamic.as_deref(), prior)
 }
 
 /// Scenario 1 (power-constrained tuning): trains one model per fold per power
@@ -465,8 +627,8 @@ fn fold_region_splits(ds: &Dataset, folds: &FoldPlan) -> Vec<(usize, Vec<usize>,
 /// the paper's "PnP Tuner (Dynamic)" variant.
 ///
 /// The `fold × power` grid of independent jobs fans out over
-/// [`TrainSettings::train_threads`] workers; each job keeps its serial seed
-/// (`fold_idx * 16 + power_idx`) and predictions are written back by
+/// [`TrainSettings::train_threads`] workers; each job keeps its
+/// [`GridPipeline`] seed and predictions are written back by
 /// `(region, power)` index, so the output is bit-identical for every worker
 /// count (DESIGN.md §10). With a cache (`None` trains every job), a warm
 /// store loads and replays the grid of checkpoints instead of training,
@@ -477,73 +639,25 @@ pub fn train_scenario1_models_cached(
     use_dynamic: bool,
     cache: Option<&DatasetCache>,
 ) -> Vec<Vec<usize>> {
-    let apps = ds.applications();
-    let folds = FoldPlan::new(&apps, settings.folds);
-    let num_powers = ds.space.power_levels.len();
-    let num_classes = ds.space.configs_per_power();
-    let num_dynamic = if use_dynamic { 5 } else { 0 };
-    let mut predictions = vec![vec![0usize; num_powers]; ds.len()];
-
-    let jobs: Vec<Scenario1Job> = fold_region_splits(ds, &folds)
-        .into_iter()
-        .flat_map(|(fold_idx, train_idx, val_idx)| {
-            let train_idx = std::sync::Arc::new(train_idx);
-            let val_idx = std::sync::Arc::new(val_idx);
-            (0..num_powers)
-                .map(move |power_idx| (fold_idx, power_idx, train_idx.clone(), val_idx.clone()))
-        })
-        .collect();
-
-    let make_model = |j: usize| {
-        let (fold_idx, power_idx, _, _) = &jobs[j];
-        PnPModel::new(settings.model_config(
-            num_classes,
-            num_dynamic,
-            (fold_idx * 16 + power_idx) as u64,
-        ))
+    let train_job = |job: &Job, model: &mut PnPModel| {
+        let dynamic = use_dynamic.then_some(false);
+        let samples = scenario1_samples(ds, job.at.1, &job.train_idx, dynamic);
+        Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false))
+            .train(model, &samples);
     };
-    let train_job = |j: usize| {
-        let (_, power_idx, train_idx, _) = &jobs[j];
-        let samples = scenario1_samples(
-            ds,
-            *power_idx,
-            train_idx,
-            if use_dynamic { Some(false) } else { None },
-        );
-        let mut model = make_model(j);
-        let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
-        trainer.train(&mut model, &samples);
-        model
+    let predict_job = |job: &Job, model: &PnPModel| {
+        let power_idx = job.at.1;
+        let prior = class_prior_scenario1(ds, power_idx, &job.train_idx);
+        let counters = use_dynamic.then_some((power_idx, false));
+        predict_fold(model, ds, &job.val_idx, counters, &prior)
     };
-    // The whole validation fold predicts through one fused block-diagonal
-    // forward — bit-identical to the per-region loop (DESIGN.md §15).
-    let predict_job = |j: usize, model: &PnPModel| {
-        let (_, power_idx, train_idx, val_idx) = &jobs[j];
-        let prior = class_prior_scenario1(ds, *power_idx, train_idx);
-        let graphs: Vec<&pnp_graph::EncodedGraph> =
-            val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
-        let dynamic: Option<Vec<Vec<f32>>> = use_dynamic.then(|| {
-            val_idx
-                .iter()
-                .map(|&i| ds.dynamic_features(i, *power_idx, false))
-                .collect()
-        });
-        predict_with_prior_batch(model, &graphs, dynamic.as_deref(), &prior)
+    let pipeline = GridPipeline::Scenario1 {
+        dynamic: use_dynamic,
     };
-
-    let job_predictions = replay_or_train(
-        cache.map(|c| (c, c.scenario1_key(settings, use_dynamic))),
-        "scenario1",
-        jobs.iter().map(|(f, p, _, _)| (*f, *p)).collect(),
-        settings.train_threads,
-        &make_model,
-        &train_job,
-        &predict_job,
-    );
-
-    for ((_, power_idx, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
-        for (&i, class) in val_idx.iter().zip(preds) {
-            predictions[i][*power_idx] = class;
+    let mut predictions = vec![vec![0usize; ds.space.power_levels.len()]; ds.len()];
+    for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
+        for (&i, class) in job.val_idx.iter().zip(preds) {
+            predictions[i][job.at.1] = class;
         }
     }
     predictions
@@ -554,79 +668,48 @@ pub fn train_scenario1_models_cached(
 /// predicted joint class.
 ///
 /// Folds are independent jobs and fan out over
-/// [`TrainSettings::train_threads`] workers with per-fold seeds
-/// (`0x2000 + fold_idx`) and indexed write-back — output is bit-identical
-/// for every worker count (DESIGN.md §10). With a cache (`None` trains
-/// every job), a warm store replays the per-fold checkpoints instead of
-/// training (DESIGN.md §12).
+/// [`TrainSettings::train_threads`] workers with per-fold [`GridPipeline`]
+/// seeds and indexed write-back — output is bit-identical for every worker
+/// count (DESIGN.md §10). With a cache (`None` trains every job), a warm
+/// store replays the per-fold checkpoints instead of training
+/// (DESIGN.md §12).
 pub fn train_scenario2_model_cached(
     ds: &Dataset,
     settings: &TrainSettings,
     use_dynamic: bool,
     cache: Option<&DatasetCache>,
 ) -> Vec<usize> {
-    let apps = ds.applications();
-    let folds = FoldPlan::new(&apps, settings.folds);
-    let num_classes = ds.space.num_tuned_points();
-    let num_dynamic = if use_dynamic { 5 } else { 0 };
     // Counters for the EDP scenario come from the default run at TDP (the
     // highest power level), matching "two profiling executions" in the paper.
     let tdp_idx = ds.space.power_levels.len() - 1;
-    let mut predictions = vec![0usize; ds.len()];
-
-    let jobs = fold_region_splits(ds, &folds);
-
-    let make_model = |j: usize| {
-        PnPModel::new(settings.model_config(num_classes, num_dynamic, 0x2000 + jobs[j].0 as u64))
-    };
-    let train_job = |j: usize| {
-        let samples: Vec<TrainingSample> = jobs[j]
-            .1
+    let counters = use_dynamic.then_some((tdp_idx, false));
+    let train_job = |job: &Job, model: &mut PnPModel| {
+        let samples: Vec<TrainingSample> = job
+            .train_idx
             .iter()
             .map(|&i| {
                 let (p, c) = ds.sweeps[i].best_edp_point();
                 TrainingSample {
                     graph: ds.regions[i].graph.clone(),
-                    dynamic: use_dynamic.then(|| ds.dynamic_features(i, tdp_idx, false)),
+                    dynamic: counters.map(|(tdp, inc)| ds.dynamic_features(i, tdp, inc)),
                     label: ds.space.joint_index(p, c),
                     group: ds.regions[i].app.clone(),
                 }
             })
             .collect();
-        let mut model = make_model(j);
         // Table II: the EDP experiments use plain Adam.
-        let trainer = Trainer::new(settings.train_config(OptimizerKind::Adam, false));
-        trainer.train(&mut model, &samples);
-        model
+        Trainer::new(settings.train_config(OptimizerKind::Adam, false)).train(model, &samples);
     };
-    // Fused fold prediction, bit-identical to the per-region loop
-    // (DESIGN.md §15).
-    let predict_job = |j: usize, model: &PnPModel| {
-        let (_, train_idx, val_idx) = &jobs[j];
-        let prior = class_prior_scenario2(ds, train_idx);
-        let graphs: Vec<&pnp_graph::EncodedGraph> =
-            val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
-        let dynamic: Option<Vec<Vec<f32>>> = use_dynamic.then(|| {
-            val_idx
-                .iter()
-                .map(|&i| ds.dynamic_features(i, tdp_idx, false))
-                .collect()
-        });
-        predict_with_prior_batch(model, &graphs, dynamic.as_deref(), &prior)
+    let predict_job = |job: &Job, model: &PnPModel| {
+        let prior = class_prior_scenario2(ds, &job.train_idx);
+        predict_fold(model, ds, &job.val_idx, counters, &prior)
     };
-
-    let job_predictions = replay_or_train(
-        cache.map(|c| (c, c.scenario2_key(settings, use_dynamic))),
-        "scenario2",
-        jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
-        settings.train_threads,
-        &make_model,
-        &train_job,
-        &predict_job,
-    );
-
-    for ((_, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
-        for (&i, class) in val_idx.iter().zip(preds) {
+    let pipeline = GridPipeline::Scenario2 {
+        dynamic: use_dynamic,
+    };
+    let mut predictions = vec![0usize; ds.len()];
+    for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
+        for (&i, class) in job.val_idx.iter().zip(preds) {
             predictions[i] = class;
         }
     }
@@ -640,36 +723,22 @@ pub fn train_scenario2_model_cached(
 /// over applications is applied simultaneously, as in the paper.
 ///
 /// Folds fan out over [`TrainSettings::train_threads`] workers exactly like
-/// the scenario pipelines, with the serial per-fold seeds
-/// (`0x4000 + fold_idx * 8 + held_out_power`) — output is bit-identical for
-/// every worker count. With a cache (`None` trains every job), a warm store
-/// replays the per-fold checkpoints instead of training (DESIGN.md §12).
+/// the scenario pipelines, with per-fold [`GridPipeline`] seeds that also
+/// encode the held-out cap — output is bit-identical for every worker
+/// count. With a cache (`None` trains every job), a warm store replays the
+/// per-fold checkpoints instead of training (DESIGN.md §12).
 pub fn train_unseen_power_cached(
     ds: &Dataset,
     settings: &TrainSettings,
     held_out_power: usize,
     cache: Option<&DatasetCache>,
 ) -> Vec<usize> {
-    let apps = ds.applications();
-    let folds = FoldPlan::new(&apps, settings.folds);
-    let num_classes = ds.space.configs_per_power();
     let train_powers: Vec<usize> = (0..ds.space.power_levels.len())
         .filter(|&p| p != held_out_power)
         .collect();
-    let mut predictions = vec![0usize; ds.len()];
-
-    let jobs = fold_region_splits(ds, &folds);
-
-    let make_model = |j: usize| {
-        PnPModel::new(settings.model_config(
-            num_classes,
-            6,
-            0x4000 + (jobs[j].0 * 8 + held_out_power) as u64,
-        ))
-    };
-    let train_job = |j: usize| {
+    let train_job = |job: &Job, model: &mut PnPModel| {
         let mut samples = Vec::new();
-        for &i in &jobs[j].1 {
+        for &i in job.train_idx.iter() {
             for &p in &train_powers {
                 samples.push(TrainingSample {
                     graph: ds.regions[i].graph.clone(),
@@ -679,13 +748,10 @@ pub fn train_unseen_power_cached(
                 });
             }
         }
-        let mut model = make_model(j);
-        let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
-        trainer.train(&mut model, &samples);
-        model
+        Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false))
+            .train(model, &samples);
     };
-    let predict_job = |j: usize, model: &PnPModel| {
-        let (_, train_idx, val_idx) = &jobs[j];
+    let predict_job = |job: &Job, model: &PnPModel| {
         // The prior for the unseen cap is a proximity-weighted average
         // over the caps observed during training (measurements at the
         // held-out cap are, by construction, unavailable). Inverse-
@@ -696,13 +762,13 @@ pub fn train_unseen_power_cached(
         // invariant caught as a sub-1.0 geomean speedup.
         let held_cap = ds.space.power_levels[held_out_power];
         let scale = ds.machine.tdp_watts.max(1e-9);
-        let mut prior = vec![0.0f64; num_classes];
+        let mut prior = vec![0.0f64; ds.space.configs_per_power()];
         let mut total_w = 0.0f64;
         for &p in &train_powers {
             let dist = (ds.space.power_levels[p] - held_cap).abs() / scale;
             let w = 1.0 / (dist + 0.05);
             total_w += w;
-            for (c, v) in class_prior_scenario1(ds, p, train_idx)
+            for (c, v) in class_prior_scenario1(ds, p, &job.train_idx)
                 .into_iter()
                 .enumerate()
             {
@@ -712,29 +778,18 @@ pub fn train_unseen_power_cached(
         for v in &mut prior {
             *v /= total_w.max(1e-9);
         }
-        // Fused fold prediction at the held-out cap, bit-identical to the
-        // per-region loop (DESIGN.md §15).
-        let graphs: Vec<&pnp_graph::EncodedGraph> =
-            val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
-        let dynamic: Vec<Vec<f32>> = val_idx
-            .iter()
-            .map(|&i| ds.dynamic_features(i, held_out_power, true))
-            .collect();
-        predict_with_prior_batch(model, &graphs, Some(&dynamic), &prior)
+        predict_fold(
+            model,
+            ds,
+            &job.val_idx,
+            Some((held_out_power, true)),
+            &prior,
+        )
     };
-
-    let job_predictions = replay_or_train(
-        cache.map(|c| (c, c.unseen_power_key(settings, held_out_power))),
-        "unseen_power",
-        jobs.iter().map(|(f, _, _)| (*f, 0)).collect(),
-        settings.train_threads,
-        &make_model,
-        &train_job,
-        &predict_job,
-    );
-
-    for ((_, _, val_idx), preds) in jobs.iter().zip(job_predictions) {
-        for (&i, class) in val_idx.iter().zip(preds) {
+    let pipeline = GridPipeline::UnseenPower { held_out_power };
+    let mut predictions = vec![0usize; ds.len()];
+    for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
+        for (&i, class) in job.val_idx.iter().zip(preds) {
             predictions[i] = class;
         }
     }

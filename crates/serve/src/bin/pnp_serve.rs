@@ -9,7 +9,10 @@
 //!           [--reload-poll-ms MS] [--stdio]
 //! ```
 //!
-//! `--store` falls back to the `PNP_STORE` environment variable. With
+//! `--store` falls back to the `PNP_STORE` environment variable. The
+//! build-only store modes `PNP_STORE_FORCE` / `PNP_STORE_VERIFY` are
+//! ignored: the daemon only reads the store, and honouring them would make
+//! every load a miss. With
 //! `--addr` port 0 (the default) the OS picks a free port; `--port-file`
 //! writes the bound port as decimal text once the listener is ready, which
 //! is how CI and `pnp_load --port-file` synchronize startup. `--stdio`
@@ -49,7 +52,7 @@ fn main() {
     );
     let args: Vec<String> = std::env::args().skip(1).collect();
     let store = match string_flag_from(&args, "--store") {
-        Some(dir) => Store::open(dir).with_env_modes(),
+        Some(dir) => Store::open(dir),
         None => Store::from_env().unwrap_or_else(|| {
             eprintln!("[pnp-serve] no store configured — pass --store DIR or set PNP_STORE");
             std::process::exit(2);

@@ -2,9 +2,12 @@
 //! model reload.
 //!
 //! At startup the engine walks the [`ModelRegistry`], loads every machine's
-//! dataset once, restores **every** model grid in the store (fit-checking
-//! each — an unfit or corrupt checkpoint is skipped with a log line, never
-//! misapplied), and restores one [`TuneService`] per machine. Requests are
+//! dataset once, reads and restores **every** model grid in the store once,
+//! through the [`GridPipeline`] its key names (fit-checking each — an unfit
+//! or corrupt checkpoint is skipped with a log line, never misapplied), and
+//! hands each machine's static scenario-1/2 grids on to one
+//! [`TuneService`]. The registry reads through a plain store, so build-only
+//! store modes cannot turn those reads into misses. Requests are
 //! then served by [`ServeEngine::tune_batch`]: the batch is grouped by
 //! machine and objective, and the groups fan out over the in-tree
 //! `pnp_openmp` pool via `parallel_map`, each group running as one fused
@@ -24,7 +27,7 @@
 //! (DESIGN.md §17). [`ServeEngine::spawn_reload_watcher`] automates this by
 //! polling the store's index generation ([`pnp_store::StoreIndex`]).
 
-use pnp_core::registry::{ModelDescriptor, ModelRegistry};
+use pnp_core::registry::ModelRegistry;
 use pnp_core::serving::{
     restore_grid, GridPipeline, KernelInput, TuneObjective, TuneRequest, TuneResponse, TuneService,
 };
@@ -101,22 +104,10 @@ pub struct ServeEngine {
     grids_skipped: AtomicUsize,
 }
 
-fn grid_pipeline(model: &ModelDescriptor) -> GridPipeline {
-    match model.pipeline.as_str() {
-        "scenario1" => GridPipeline::Scenario1 {
-            dynamic: model.dynamic,
-        },
-        "scenario2" => GridPipeline::Scenario2 {
-            dynamic: model.dynamic,
-        },
-        _ => GridPipeline::UnseenPower {
-            held_out_power: model.held_out_power.unwrap_or(0),
-        },
-    }
-}
-
 /// Restores and fit-checks every grid in `registry`, then restores one
-/// service per machine — the shared body of cold start and reload.
+/// service per machine — the shared body of cold start and reload. Each
+/// grid is read once: the fit check keeps the static pair's grids for the
+/// service restore.
 fn build_services(
     registry: &ModelRegistry,
     report: &mut StartupReport,
@@ -139,27 +130,29 @@ fn build_services(
         // Fit-check every grid trained on this dataset, serveable or not:
         // a corrupt checkpoint must surface at startup, not at request
         // time.
-        let mut statics: BTreeMap<&str, &ModelDescriptor> = BTreeMap::new();
+        let (mut time, mut edp) = (None, None);
         for model in registry
             .models()
             .iter()
             .filter(|m| m.dataset_sha256 == dataset.sha256)
         {
             let outcome = model.settings().and_then(|settings| {
-                registry
+                let grid = registry
                     .load_grid(model)
-                    .ok_or_else(|| "grid payload failed to load".to_string())
-                    .and_then(|grid| {
-                        restore_grid(&ds, &settings, grid_pipeline(model), &grid)
-                            .map(|models| models.len())
-                    })
+                    .ok_or_else(|| "grid payload failed to load".to_string())?;
+                let n = restore_grid(&ds, &settings, model.grid, &grid)?.len();
+                Ok((settings, grid, n))
             });
             match outcome {
-                Ok(n) => {
+                Ok((settings, grid, n)) => {
                     report.grids_loaded += 1;
                     report.log(format!("loaded {} ({n} checkpoints)", model.id));
-                    if !model.dynamic && model.held_out_power.is_none() {
-                        statics.insert(model.pipeline.as_str(), model);
+                    match model.grid {
+                        GridPipeline::Scenario1 { dynamic: false } => {
+                            time = Some((model, settings, grid))
+                        }
+                        GridPipeline::Scenario2 { dynamic: false } => edp = Some((model, grid)),
+                        _ => {}
                     }
                 }
                 Err(why) => {
@@ -183,20 +176,9 @@ fn build_services(
             ));
             continue;
         }
-        let (Some(s1), Some(s2)) = (statics.get("scenario1"), statics.get("scenario2")) else {
+        let (Some((s1, settings, grid1)), Some((s2, grid2))) = (time, edp) else {
             report.log(format!(
                 "machine {}: no loadable static scenario1+scenario2 pair — not serving",
-                dataset.machine
-            ));
-            continue;
-        };
-        let (Ok(settings), Some(grid1), Some(grid2)) = (
-            s1.settings(),
-            registry.load_grid(s1),
-            registry.load_grid(s2),
-        ) else {
-            report.log(format!(
-                "machine {}: static grids vanished between fit check and restore",
                 dataset.machine
             ));
             continue;
@@ -337,12 +319,11 @@ impl ServeEngine {
             .fetch_max(requests.len() as u64, Ordering::Relaxed);
 
         // Group by (machine, objective): requests sharing a committee fuse
-        // into one block-diagonal forward. Objective keys are
-        // `(0, power_idx)` for time and `(1, 0)` for EDP — BTreeMap order
-        // keeps dispatch deterministic.
+        // into one block-diagonal forward. BTreeMap order keeps dispatch
+        // deterministic.
         let mut settled: BTreeMap<usize, TuneResponse> = BTreeMap::new();
         type Group<'a> = (&'a TuneService, Vec<(usize, &'a TuneRequest)>);
-        let mut groups: BTreeMap<(&str, usize, usize), Group<'_>> = BTreeMap::new();
+        let mut groups: BTreeMap<(&str, TuneObjective), Group<'_>> = BTreeMap::new();
         for (i, request) in requests.iter().enumerate() {
             let Some(service) = live.services.get(&request.machine) else {
                 let message = format!(
@@ -353,12 +334,8 @@ impl ServeEngine {
                 settled.insert(i, TuneResponse::err(request.id, message));
                 continue;
             };
-            let (kind, power_idx) = match request.objective {
-                TuneObjective::Time { power_idx } => (0, power_idx),
-                TuneObjective::Edp => (1, 0),
-            };
             groups
-                .entry((request.machine.as_str(), kind, power_idx))
+                .entry((request.machine.as_str(), request.objective))
                 .or_insert_with(|| (service, Vec::new()))
                 .1
                 .push((i, request));
@@ -442,18 +419,7 @@ impl ServeEngine {
     /// reload happened. Cheap when nothing changed — one small JSON read
     /// plus a file-name walk, no artifact payload is touched.
     pub fn reload_if_stale(&self) -> bool {
-        let (root, force, verify) = {
-            let live = self.live();
-            let store = live.registry.store();
-            (
-                store.root().to_path_buf(),
-                store.force_rebuild(),
-                store.verify(),
-            )
-        };
-        let store = Store::open(root)
-            .with_force_rebuild(force)
-            .with_verify(verify);
+        let store = Store::open(self.live().registry.store().root());
         let index = StoreIndex::load_or_rebuild(&store);
         if index.generation() == self.generation() {
             return false;
@@ -593,5 +559,45 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&trained);
         let _ = std::fs::remove_dir_all(&empty);
+    }
+
+    #[test]
+    fn cold_start_reads_each_grid_once() {
+        let dir = std::env::temp_dir().join(format!("pnp_engine_reads_{}", std::process::id()));
+        trained_store(&dir);
+        let (engine, report) = ServeEngine::start(
+            ModelRegistry::open(Store::open(&dir)),
+            &EngineConfig { workers: 1 },
+        );
+        assert_eq!(engine.machines(), vec!["haswell".to_string()]);
+        assert_eq!(report.grids_loaded, 2);
+        // One dataset read plus one read per grid: the fit check hands the
+        // static pair's grids on to the service restore.
+        let stats = engine.registry().store().stats();
+        assert_eq!((stats.hits, stats.misses), (3, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn build_only_store_modes_cannot_blank_the_daemon() {
+        let dir = std::env::temp_dir().join(format!("pnp_engine_modes_{}", std::process::id()));
+        trained_store(&dir);
+        let forced = || Store::open(&dir).with_force_rebuild(true).with_verify(true);
+        let registry = ModelRegistry::open(forced());
+        assert!(!registry.store().force_rebuild() && !registry.store().verify());
+        assert_eq!(registry.models().len(), 2);
+        for model in registry.models() {
+            assert!(registry.load_grid(model).is_some(), "{}", model.id);
+        }
+        let (engine, report) = ServeEngine::start(registry, &EngineConfig { workers: 1 });
+        assert_eq!(engine.machines(), vec!["haswell".to_string()]);
+        assert_eq!((report.grids_loaded, report.grids_skipped), (2, 0));
+        // `from_index` is the hot-reload path: it reads plain too.
+        let (engine, _) = ServeEngine::start(
+            ModelRegistry::from_index(forced(), &StoreIndex::load_or_rebuild(&forced())),
+            &EngineConfig { workers: 1 },
+        );
+        assert_eq!(engine.machines(), vec!["haswell".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

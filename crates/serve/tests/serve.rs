@@ -15,7 +15,9 @@ use pnp_benchmarks::builders::{matmul_kernel, small_boundary_kernel, streaming_k
 use pnp_benchmarks::Application;
 use pnp_core::artifact::ArtifactStore;
 use pnp_core::registry::ModelRegistry;
-use pnp_core::serving::{KernelInput, TuneObjective, TunePrediction, TuneRequest, TuneService};
+use pnp_core::serving::{
+    GridPipeline, KernelInput, TuneObjective, TunePrediction, TuneRequest, TuneService,
+};
 use pnp_core::training::{
     train_scenario1_models_cached, train_scenario2_model_cached, TrainSettings, TrainedGrid,
 };
@@ -81,11 +83,11 @@ fn fixture() -> &'static Fixture {
         train_scenario2_model_cached(&ds, &settings, false, Some(&cache));
         let s1 = cache
             .store()
-            .load(&cache.scenario1_key(&settings, false))
+            .load(&cache.grid_key(GridPipeline::Scenario1 { dynamic: false }, &settings))
             .expect("scenario1 grid cached");
         let s2 = cache
             .store()
-            .load(&cache.scenario2_key(&settings, false))
+            .load(&cache.grid_key(GridPipeline::Scenario2 { dynamic: false }, &settings))
             .expect("scenario2 grid cached");
         Fixture {
             dir,
@@ -700,11 +702,11 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
     // from the same skylake grids.
     let s1 = sky_cache
         .store()
-        .load(&sky_cache.scenario1_key(&fx.settings, false))
+        .load(&sky_cache.grid_key(GridPipeline::Scenario1 { dynamic: false }, &fx.settings))
         .expect("skylake scenario1 grid");
     let s2 = sky_cache
         .store()
-        .load(&sky_cache.scenario2_key(&fx.settings, false))
+        .load(&sky_cache.grid_key(GridPipeline::Scenario2 { dynamic: false }, &fx.settings))
         .expect("skylake scenario2 grid");
     let sky_service = TuneService::restore(&sky_ds, &fx.settings, &s1, &s2, "t", "e")
         .expect("offline skylake service restores");

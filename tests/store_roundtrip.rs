@@ -11,7 +11,7 @@ use pnp::core::training::{
     train_scenario1_models_cached, train_scenario2_model_cached, train_unseen_power_cached,
     TrainSettings,
 };
-use pnp::core::{Dataset, RunCtx};
+use pnp::core::{Dataset, GridPipeline, RunCtx};
 use pnp::graph::Vocabulary;
 use pnp::machine::haswell;
 use pnp::openmp::Threads;
@@ -249,7 +249,7 @@ fn corrupted_grid_artifact_falls_back_to_retraining() {
     let store = tmp.open();
     let cache = store.for_dataset(&ds);
     train_scenario1_models_cached(&ds, &settings, false, Some(&cache));
-    let key = cache.scenario1_key(&settings, false);
+    let key = cache.grid_key(GridPipeline::Scenario1 { dynamic: false }, &settings);
     let path = store.store().artifact_path(&key);
 
     // Truncate the artifact mid-payload.
@@ -287,7 +287,7 @@ fn force_rebuild_retrains_and_overwrites() {
     let store = tmp.open();
     let cache = store.for_dataset(&ds);
     train_scenario1_models_cached(&ds, &settings, false, Some(&cache));
-    let key = cache.scenario1_key(&settings, false);
+    let key = cache.grid_key(GridPipeline::Scenario1 { dynamic: false }, &settings);
     let before = std::fs::metadata(store.store().artifact_path(&key)).unwrap();
 
     let forced = tmp.open_with(true, false);
