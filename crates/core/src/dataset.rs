@@ -239,10 +239,7 @@ impl Dataset {
 
     /// The configuration point for `(power index, OpenMP class index)`.
     pub fn point(&self, power_idx: usize, omp_idx: usize) -> ConfigPoint {
-        ConfigPoint {
-            power_watts: self.space.power_levels[power_idx],
-            omp: self.space.omp_configs()[omp_idx],
-        }
+        crate::TuneObjective::Time { power_idx }.decode(&self.space, omp_idx)
     }
 
     /// The default OpenMP configuration of this machine.

@@ -13,10 +13,8 @@ use crate::artifact::DatasetCache;
 use crate::dataset::Dataset;
 use crate::eval::geomean;
 use crate::report::TextTable;
-use crate::training::TrainSettings;
-use pnp_gnn::train::OptimizerKind;
-use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
-use pnp_graph::Vocabulary;
+use crate::training::{TrainSettings, TuneObjective};
+use pnp_gnn::{PnPModel, Trainer};
 use pnp_tuners::{BlissTuner, Objective, SimEvaluator};
 use serde::Serialize;
 
@@ -76,42 +74,20 @@ impl AblationResults {
     }
 }
 
-fn samples_at_power(ds: &Dataset, power_idx: usize) -> Vec<TrainingSample> {
-    (0..ds.len())
-        .map(|i| TrainingSample {
-            graph: ds.regions[i].graph.clone(),
-            dynamic: None,
-            label: ds.sweeps[i].best_time_config(power_idx),
-            group: ds.regions[i].app.clone(),
-        })
-        .collect()
-}
-
 fn train_variant(ds: &Dataset, settings: &TrainSettings, relational: bool, sum_pool: bool) -> f64 {
-    let tdp_idx = ds.space.power_levels.len() - 1;
-    let samples = samples_at_power(ds, tdp_idx);
-    let mut model = PnPModel::new(ModelConfig {
-        vocab_size: Vocabulary::standard().len(),
-        hidden_dim: settings.hidden_dim,
-        num_rgcn_layers: settings.rgcn_layers,
-        fc_hidden: settings.fc_hidden,
-        num_classes: ds.space.configs_per_power(),
-        num_relations: 3,
-        num_dynamic_features: 0,
-        dropout: 0.0,
+    // Every variant trains from one fixed seed, whatever the settings' seed.
+    let settings = TrainSettings {
         seed: 0xAB1A,
-    });
+        ..settings.clone()
+    };
+    let objective = TuneObjective::Time {
+        power_idx: ds.space.power_levels.len() - 1,
+    };
+    let mut model = PnPModel::new(settings.model_config(objective.num_classes(&ds.space), 0, 0));
     model.set_relational(relational);
     model.set_sum_pooling(sum_pool);
-    let trainer = Trainer::new(TrainConfig {
-        epochs: settings.epochs,
-        learning_rate: 1e-3,
-        batch_size: settings.batch_size,
-        optimizer: OptimizerKind::AdamWAmsgrad,
-        grad_clip: 5.0,
-        freeze_gnn: false,
-        seed: 0xAB1A,
-    });
+    let samples = objective.samples(ds, 0..ds.len(), None);
+    let trainer = Trainer::new(settings.train_config(objective.optimizer(), false));
     let report = trainer.train(&mut model, &samples);
     report.final_train_accuracy as f64
 }

@@ -15,7 +15,7 @@ use crate::artifact::{self, DatasetCache};
 use crate::dataset::Dataset;
 use crate::eval::{fraction_within, geomean};
 use crate::report::TextTable;
-use crate::training::{class_prior_scenario1, predict_with_prior, train_ood_model, TrainSettings};
+use crate::training::{predict_with_prior_batch, train_on_all, TrainSettings, TuneObjective};
 use serde::{Deserialize, Serialize};
 
 use super::{check_dataset, ExperimentError};
@@ -129,7 +129,8 @@ impl OodResults {
 
 /// Runs the out-of-distribution experiment: for every power cap, train one
 /// model on *all* of `train` (no folds — the evaluation set is disjoint by
-/// construction) and predict each `eval` region's configuration class,
+/// construction; seed offset `0x8000 + power_idx`) and predict every `eval`
+/// region's configuration class in one fused batch,
 /// scoring predicted vs. default vs. oracle times from `eval`'s exhaustive
 /// sweep. The evaluation set is the generated corpus
 /// `pnp_benchmarks::synthetic_suite(seed, kernels)`, swept like the paper
@@ -182,17 +183,18 @@ fn evaluate(
     kernels: usize,
 ) -> OodResults {
     let all_train: Vec<usize> = (0..train.len()).collect();
+    let graphs: Vec<&pnp_graph::EncodedGraph> = eval.regions.iter().map(|r| &r.graph).collect();
     let mut rows = Vec::with_capacity(train.space.power_levels.len());
     for (power_idx, &power_watts) in train.space.power_levels.iter().enumerate() {
-        let model = train_ood_model(train, settings, power_idx);
-        let prior = class_prior_scenario1(train, power_idx, &all_train);
+        let objective = TuneObjective::Time { power_idx };
+        let model = train_on_all(train, settings, objective, 0x8000 + power_idx as u64);
+        let prior = objective.class_prior(train, &all_train);
+        let preds = predict_with_prior_batch(&model, &graphs, None, &prior);
 
         let mut pnp_ratios = Vec::with_capacity(eval.len());
         let mut oracle_ratios = Vec::with_capacity(eval.len());
         let mut oracle_fracs = Vec::with_capacity(eval.len());
-        for (r, record) in eval.regions.iter().enumerate() {
-            let pred = predict_with_prior(&model, &record.graph, None, &prior);
-            let sweep = &eval.sweeps[r];
+        for (sweep, pred) in eval.sweeps.iter().zip(preds) {
             let t_pred = sweep.samples[power_idx][pred].time_s;
             let t_default = sweep.default_samples[power_idx].time_s;
             let t_best = sweep.best_time(power_idx);

@@ -3,38 +3,26 @@
 //! [`PnPTuner`] packages a trained model together with the search space so a
 //! downstream user can ask "which configuration should I run this region
 //! with?" without touching the training pipeline. It needs **no executions**
-//! of the target region — the prediction comes purely from the code graph
-//! (and, in dynamic mode, one profiling run's counters).
+//! of the target region — the prediction comes purely from the code graph.
+//! What each [`TuneObjective`] means — its samples, optimizer, class prior
+//! and class decoding — is defined once, in [`crate::training`]; the tuner
+//! only trains on every region and predicts through it.
 
 use crate::dataset::Dataset;
-use crate::training::TrainSettings;
-use pnp_gnn::train::OptimizerKind;
-use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
-use pnp_graph::{EncodedGraph, Vocabulary};
-use pnp_tuners::ConfigPoint;
-
-/// What the tuner optimizes for.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TunerMode {
-    /// Best execution time at the given power-level index of the machine's
-    /// search space (scenario 1).
-    PowerConstrained {
-        /// Index into `SearchSpace::power_levels`.
-        power_idx: usize,
-    },
-    /// Best energy-delay product over the joint power × configuration space
-    /// (scenario 2).
-    Edp,
-}
+use crate::training::{
+    blend_score, predict_with_prior_batch, train_on_all, TrainSettings, TuneObjective,
+};
+use pnp_gnn::PnPModel;
+use pnp_graph::EncodedGraph;
+use pnp_tuners::{ConfigPoint, SearchSpace};
 
 /// A trained, ready-to-query PnP tuner.
 pub struct PnPTuner {
     model: PnPModel,
-    dataset_space: pnp_tuners::SearchSpace,
-    mode: TunerMode,
-    /// Per-class prior quality computed from the training sweeps (see
-    /// `training::class_prior_scenario1`); blended with the model's
-    /// probabilities at prediction time.
+    space: SearchSpace,
+    objective: TuneObjective,
+    /// The objective's class prior over every training region, blended
+    /// with the model's probabilities at prediction time (DESIGN.md §5).
     class_prior: Vec<f64>,
 }
 
@@ -42,115 +30,51 @@ impl PnPTuner {
     /// Trains a tuner on *all* regions of a dataset (no held-out fold — this
     /// is the deployment path; the evaluation pipelines in
     /// [`crate::training`] use cross-validation instead).
-    pub fn train(dataset: &Dataset, mode: TunerMode, settings: &TrainSettings) -> PnPTuner {
-        let (num_classes, samples): (usize, Vec<TrainingSample>) = match mode {
-            TunerMode::PowerConstrained { power_idx } => (
-                dataset.space.configs_per_power(),
-                (0..dataset.len())
-                    .map(|i| TrainingSample {
-                        graph: dataset.regions[i].graph.clone(),
-                        dynamic: None,
-                        label: dataset.sweeps[i].best_time_config(power_idx),
-                        group: dataset.regions[i].app.clone(),
-                    })
-                    .collect(),
-            ),
-            TunerMode::Edp => (
-                dataset.space.num_tuned_points(),
-                (0..dataset.len())
-                    .map(|i| {
-                        let (p, c) = dataset.sweeps[i].best_edp_point();
-                        TrainingSample {
-                            graph: dataset.regions[i].graph.clone(),
-                            dynamic: None,
-                            label: dataset.space.joint_index(p, c),
-                            group: dataset.regions[i].app.clone(),
-                        }
-                    })
-                    .collect(),
-            ),
-        };
-        let mut model = PnPModel::new(ModelConfig {
-            vocab_size: Vocabulary::standard().len(),
-            hidden_dim: settings.hidden_dim,
-            num_rgcn_layers: settings.rgcn_layers,
-            fc_hidden: settings.fc_hidden,
-            num_classes,
-            num_relations: 3,
-            num_dynamic_features: 0,
-            dropout: 0.0,
-            seed: settings.seed,
-        });
-        let trainer = Trainer::new(TrainConfig {
-            epochs: settings.epochs,
-            learning_rate: 1e-3,
-            batch_size: settings.batch_size,
-            optimizer: match mode {
-                TunerMode::PowerConstrained { .. } => OptimizerKind::AdamWAmsgrad,
-                TunerMode::Edp => OptimizerKind::Adam,
-            },
-            grad_clip: 5.0,
-            freeze_gnn: false,
-            seed: settings.seed,
-        });
-        trainer.train(&mut model, &samples);
+    pub fn train(
+        dataset: &Dataset,
+        objective: TuneObjective,
+        settings: &TrainSettings,
+    ) -> PnPTuner {
         let all_idx: Vec<usize> = (0..dataset.len()).collect();
-        let class_prior = match mode {
-            TunerMode::PowerConstrained { power_idx } => {
-                crate::training::class_prior_scenario1(dataset, power_idx, &all_idx)
-            }
-            TunerMode::Edp => crate::training::class_prior_scenario2(dataset, &all_idx),
-        };
         PnPTuner {
-            model,
-            dataset_space: dataset.space.clone(),
-            mode,
-            class_prior,
+            model: train_on_all(dataset, settings, objective, 0),
+            space: dataset.space.clone(),
+            objective,
+            class_prior: objective.class_prior(dataset, &all_idx),
         }
     }
 
-    /// The tuner's mode.
-    pub fn mode(&self) -> TunerMode {
-        self.mode
+    /// The objective the tuner was trained for.
+    pub fn mode(&self) -> TuneObjective {
+        self.objective
     }
 
     /// Predicts the best configuration point for an (encoded) region graph —
-    /// zero executions needed.
+    /// zero executions needed. A batch of one through the fused predictor
+    /// the cross-validation pipelines use.
     pub fn predict(&self, graph: &EncodedGraph) -> ConfigPoint {
-        let class =
-            crate::training::predict_with_prior(&self.model, graph, None, &self.class_prior);
-        match self.mode {
-            TunerMode::PowerConstrained { power_idx } => ConfigPoint {
-                power_watts: self.dataset_space.power_levels[power_idx],
-                omp: self.dataset_space.omp_configs()[class],
-            },
-            TunerMode::Edp => self.dataset_space.decode_joint(class),
-        }
+        let classes = predict_with_prior_batch(&self.model, &[graph], None, &self.class_prior);
+        self.objective.decode(&self.space, classes[0])
     }
 
-    /// The full ranking of configuration points, most promising first
-    /// (prior-blended, like [`PnPTuner::predict`]).
+    /// The `top_k` most promising configuration points, best first, ranked
+    /// by the same prior-blended score [`PnPTuner::predict`] maximizes.
     pub fn predict_ranked(&self, graph: &EncodedGraph, top_k: usize) -> Vec<ConfigPoint> {
         let probs = self.model.predict_proba(graph, None);
-        let mut classes: Vec<usize> = (0..probs.len()).collect();
+        let mut ranked: Vec<(usize, f64)> = probs
+            .iter()
+            .zip(&self.class_prior)
+            .map(|(&p, &q)| blend_score(p, q))
+            .enumerate()
+            .collect();
         // `total_cmp` keeps the ranking total even if a score degenerates to
         // NaN (e.g. a NaN model probability) — a panic here would take the
         // whole tuner down on one bad prediction.
-        classes.sort_by(|&a, &b| {
-            let score =
-                |c: usize| (probs[c].max(1e-9) as f64).ln() + self.class_prior[c].max(1e-9).ln();
-            score(b).total_cmp(&score(a))
-        });
-        classes
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        ranked
             .into_iter()
             .take(top_k)
-            .map(|class| match self.mode {
-                TunerMode::PowerConstrained { power_idx } => ConfigPoint {
-                    power_watts: self.dataset_space.power_levels[power_idx],
-                    omp: self.dataset_space.omp_configs()[class],
-                },
-                TunerMode::Edp => self.dataset_space.decode_joint(class),
-            })
+            .map(|(class, _)| self.objective.decode(&self.space, class))
             .collect()
     }
 }
@@ -160,6 +84,7 @@ mod tests {
     use super::*;
     use pnp_benchmarks::builders::{matmul_kernel, small_boundary_kernel, streaming_kernel};
     use pnp_benchmarks::Application;
+    use pnp_graph::Vocabulary;
     use pnp_machine::haswell;
 
     fn tiny_dataset() -> Dataset {
@@ -184,11 +109,7 @@ mod tests {
     #[test]
     fn trained_tuner_predicts_valid_points() {
         let ds = tiny_dataset();
-        let tuner = PnPTuner::train(
-            &ds,
-            TunerMode::PowerConstrained { power_idx: 0 },
-            &tiny_settings(),
-        );
+        let tuner = PnPTuner::train(&ds, TuneObjective::Time { power_idx: 0 }, &tiny_settings());
         let point = tuner.predict(&ds.regions[0].graph);
         assert_eq!(point.power_watts, ds.space.power_levels[0]);
         assert!(ds.space.omp_index(&point.omp).is_some());
@@ -200,10 +121,12 @@ mod tests {
     #[test]
     fn edp_mode_predicts_a_power_level_too() {
         let ds = tiny_dataset();
-        let tuner = PnPTuner::train(&ds, TunerMode::Edp, &tiny_settings());
-        let point = tuner.predict(&ds.regions[1].graph);
+        let tuner = PnPTuner::train(&ds, TuneObjective::Edp, &tiny_settings());
+        let graph = &ds.regions[1].graph;
+        let point = tuner.predict(graph);
         assert!(ds.space.power_levels.contains(&point.power_watts));
-        assert_eq!(tuner.mode(), TunerMode::Edp);
+        assert_eq!(tuner.mode(), TuneObjective::Edp);
+        assert_eq!(tuner.predict_ranked(graph, 1)[0], point);
     }
 
     #[test]
@@ -214,7 +137,7 @@ mod tests {
         let ds = tiny_dataset();
         let mut settings = tiny_settings();
         settings.epochs = 40;
-        let tuner = PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 3 }, &settings);
+        let tuner = PnPTuner::train(&ds, TuneObjective::Time { power_idx: 3 }, &settings);
         let mut near_optimal = 0;
         for i in 0..ds.len() {
             let predicted = tuner.predict(&ds.regions[i].graph);

@@ -18,30 +18,13 @@
 //! structural: both paths share one committee and one prediction builder.
 
 use crate::dataset::Dataset;
-pub use crate::training::GridPipeline;
+pub use crate::training::{GridPipeline, TuneObjective};
 use crate::training::{TrainSettings, TrainedGrid};
 use pnp_gnn::{BatchError, GraphBatch, PnPModel};
 use pnp_graph::{build_region_graph, EdgeFlow, EncodedGraph, Vocabulary};
 use pnp_ir::{try_lower_kernel, RegionSource};
-use pnp_openmp::OmpConfig;
 use pnp_tuners::{ConfigPoint, SearchSpace};
 use serde::{Deserialize, Serialize};
-
-/// What one tune request optimizes for. The derived order — every
-/// `Time` by power index, then `Edp` — is the order batches dispatch their
-/// objective groups in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum TuneObjective {
-    /// Best execution time at power level `power_idx` of the machine's
-    /// search space (scenario 1).
-    Time {
-        /// Index into `SearchSpace::power_levels`.
-        power_idx: usize,
-    },
-    /// Best energy-delay product over the joint power × configuration space
-    /// (scenario 2).
-    Edp,
-}
 
 /// The kernel a client wants tuned: either DSL source (the server lowers,
 /// graphs, and encodes it — the zero-setup path) or a pre-encoded graph
@@ -198,9 +181,9 @@ pub fn serving_tables(ds: &Dataset) -> ServingTables {
     let tdp_idx = num_powers - 1;
 
     let time_priors: Vec<Vec<f64>> = (0..num_powers)
-        .map(|p| crate::training::class_prior_scenario1(ds, p, &all_idx))
+        .map(|power_idx| TuneObjective::Time { power_idx }.class_prior(ds, &all_idx))
         .collect();
-    let edp_prior = crate::training::class_prior_scenario2(ds, &all_idx);
+    let edp_prior = TuneObjective::Edp.class_prior(ds, &all_idx);
 
     let expected_speedup: Vec<Vec<f64>> = (0..num_powers)
         .map(|p| {
@@ -283,7 +266,8 @@ fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
 /// Committee prediction: one class per graph. Each class is the mean of the
 /// fold models' probabilities (f64 accumulation in model order —
 /// deterministic), blended with the class prior by `ln p + ln prior` argmax
-/// exactly like the offline pipelines' `predict_with_prior`.
+/// like the offline pipelines' single-model blend (which clamps the f32
+/// probability, where this clamps the f64 mean).
 ///
 /// The whole batch runs through every fold model's fused
 /// [`PnPModel::predict_proba_batch`] forward — one tall matmul per relation
@@ -324,7 +308,6 @@ pub struct TuneService {
     space: SearchSpace,
     vocab: Vocabulary,
     tables: ServingTables,
-    omp_configs: Vec<OmpConfig>,
     /// `time[p]` = scenario-1 fold committee for power level `p`.
     time: Vec<Vec<PnPModel>>,
     /// Scenario-2 fold committee over the joint class space.
@@ -341,8 +324,9 @@ const _: fn() = || {
 
 impl TuneService {
     /// Restores a service from the two static grids of one machine's
-    /// dataset. `time_model_id`/`edp_model_id` are the registry ids echoed
-    /// in predictions.
+    /// dataset — [`restore_grid`] on each, then [`TuneService::assemble`].
+    /// `time_model_id`/`edp_model_id` are the registry ids echoed in
+    /// predictions.
     pub fn restore(
         ds: &Dataset,
         settings: &TrainSettings,
@@ -351,38 +335,44 @@ impl TuneService {
         time_model_id: impl Into<String>,
         edp_model_id: impl Into<String>,
     ) -> Result<TuneService, String> {
-        let num_powers = ds.space.power_levels.len();
-        let mut time: Vec<Vec<PnPModel>> = (0..num_powers).map(|_| Vec::new()).collect();
-        for ((_, power_idx), model) in restore_grid(
+        let restore = |pipeline, grid| restore_grid(ds, settings, pipeline, grid);
+        TuneService::assemble(
             ds,
-            settings,
-            GridPipeline::Scenario1 { dynamic: false },
-            scenario1,
-        )? {
+            restore(GridPipeline::Scenario1 { dynamic: false }, scenario1)?,
+            restore(GridPipeline::Scenario2 { dynamic: false }, scenario2)?,
+            time_model_id,
+            edp_model_id,
+        )
+    }
+
+    /// Assembles a service from the restored static scenario-1 and
+    /// scenario-2 grids of one machine's dataset: one committee per power
+    /// level, one over the joint space. Refuses a scenario-1 grid that
+    /// lacks a model for some power level (or names one out of range) and
+    /// an empty scenario-2 grid.
+    pub fn assemble(
+        ds: &Dataset,
+        scenario1: RestoredGrid,
+        scenario2: RestoredGrid,
+        time_model_id: impl Into<String>,
+        edp_model_id: impl Into<String>,
+    ) -> Result<TuneService, String> {
+        let mut time: Vec<Vec<PnPModel>> =
+            ds.space.power_levels.iter().map(|_| Vec::new()).collect();
+        for ((_, power_idx), model) in scenario1 {
             time.get_mut(power_idx)
                 .ok_or_else(|| format!("scenario1 job has power index {power_idx} out of range"))?
                 .push(model);
         }
-        for (p, committee) in time.iter().enumerate() {
-            if committee.is_empty() {
-                return Err(format!("scenario1 grid has no model for power level {p}"));
-            }
+        if let Some(p) = time.iter().position(Vec::is_empty) {
+            return Err(format!("scenario1 grid has no model for power level {p}"));
         }
-        let edp: Vec<PnPModel> = restore_grid(
-            ds,
-            settings,
-            GridPipeline::Scenario2 { dynamic: false },
-            scenario2,
-        )?
-        .into_iter()
-        .map(|(_, m)| m)
-        .collect();
+        let edp: Vec<PnPModel> = scenario2.into_iter().map(|(_, m)| m).collect();
         if edp.is_empty() {
             return Err("scenario2 grid holds no models".into());
         }
         Ok(TuneService {
             machine: ds.machine.name.clone(),
-            omp_configs: ds.space.omp_configs(),
             space: ds.space.clone(),
             vocab: Vocabulary::standard(),
             tables: serving_tables(ds),
@@ -412,22 +402,18 @@ impl TuneService {
     /// Packages a predicted class: a per-power OpenMP class for the time
     /// objective, a joint class for EDP.
     fn prediction(&self, objective: TuneObjective, class: usize) -> TunePrediction {
-        match objective {
-            TuneObjective::Time { power_idx } => TunePrediction {
-                class,
-                point: ConfigPoint {
-                    power_watts: self.space.power_levels[power_idx],
-                    omp: self.omp_configs[class],
-                },
-                expected_gain: self.tables.expected_speedup[power_idx][class],
-                model: self.time_model_id.clone(),
-            },
-            TuneObjective::Edp => TunePrediction {
-                class,
-                point: self.space.decode_joint(class),
-                expected_gain: self.tables.expected_edp_gain[class],
-                model: self.edp_model_id.clone(),
-            },
+        let (expected_gain, model) = match objective {
+            TuneObjective::Time { power_idx } => (
+                self.tables.expected_speedup[power_idx][class],
+                &self.time_model_id,
+            ),
+            TuneObjective::Edp => (self.tables.expected_edp_gain[class], &self.edp_model_id),
+        };
+        TunePrediction {
+            class,
+            point: objective.decode(&self.space, class),
+            expected_gain,
+            model: model.clone(),
         }
     }
 
@@ -694,6 +680,36 @@ mod tests {
         assert!(
             restore_grid(&ds, &wider, GridPipeline::Scenario1 { dynamic: false }, &s1).is_err()
         );
+        std::fs::remove_dir_all(store.store().root()).ok();
+    }
+
+    #[test]
+    fn assembly_refuses_incomplete_grids() {
+        let (ds, settings, s1, s2, store) = trained_fixture("assemble");
+        let restore = |pipeline, grid| restore_grid(&ds, &settings, pipeline, grid).unwrap();
+        let time = || restore(GridPipeline::Scenario1 { dynamic: false }, &s1);
+        let edp = || restore(GridPipeline::Scenario2 { dynamic: false }, &s2);
+        assert!(TuneService::assemble(&ds, time(), edp(), "t", "e").is_ok());
+
+        // A scenario-1 grid missing every model of one power level.
+        let mut gapped = time();
+        gapped.retain(|&((_, power_idx), _)| power_idx != 1);
+        let why = TuneService::assemble(&ds, gapped, edp(), "t", "e").err();
+        assert_eq!(
+            why.as_deref(),
+            Some("scenario1 grid has no model for power level 1")
+        );
+        // A scenario-1 job naming a power level the space does not have.
+        let mut stray = time();
+        stray[0].0 .1 = 99;
+        let why = TuneService::assemble(&ds, stray, edp(), "t", "e").err();
+        assert_eq!(
+            why.as_deref(),
+            Some("scenario1 job has power index 99 out of range")
+        );
+        // An empty scenario-2 grid.
+        let why = TuneService::assemble(&ds, time(), Vec::new(), "t", "e").err();
+        assert_eq!(why.as_deref(), Some("scenario2 grid holds no models"));
         std::fs::remove_dir_all(store.store().root()).ok();
     }
 

@@ -39,6 +39,7 @@ use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
 use pnp_graph::Vocabulary;
 use pnp_openmp::{parallel_map, Threads};
 use pnp_tensor::ParameterBundle;
+use pnp_tuners::{ConfigPoint, SearchSpace};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -132,7 +133,7 @@ impl TrainSettings {
         }
     }
 
-    fn train_config(&self, optimizer: OptimizerKind, freeze_gnn: bool) -> TrainConfig {
+    pub(crate) fn train_config(&self, optimizer: OptimizerKind, freeze_gnn: bool) -> TrainConfig {
         TrainConfig {
             epochs: self.epochs,
             learning_rate: 1e-3,
@@ -187,36 +188,132 @@ impl FoldPlan {
     }
 }
 
-/// Per-class "prior quality" scores computed from the training sweeps: for
-/// scenario 1, `score[c]` combines the geometric mean over training regions
-/// of `best_time / time(c)` with a [`RISK_WEIGHT`]-weighted worst-case term;
-/// for scenario 2 the same with EDP. Predictions blend the classifier's
-/// probabilities with this prior (`ln p + ln prior`), which keeps the tuner
-/// sensible when the model is uncertain — the GNN sharpens the choice where
-/// it has signal and the prior prevents catastrophic picks (e.g. a
-/// huge-chunk static schedule for a short loop) where it does not. The
-/// paper's models are trained far longer on real hardware; this blending
-/// compensates for the reduced training budget of the reproduction and is
-/// documented in DESIGN.md §11.
-pub(crate) fn class_prior_scenario1(
-    ds: &Dataset,
-    power_idx: usize,
-    train_idx: &[usize],
-) -> Vec<f64> {
-    let num_classes = ds.space.configs_per_power();
-    let mut scores = vec![0.0f64; num_classes];
-    for (c, score) in scores.iter_mut().enumerate() {
-        let ratios: Vec<f64> = train_idx
-            .iter()
-            .map(|&i| {
-                let best = ds.sweeps[i].best_time(power_idx);
-                let t = ds.sweeps[i].samples[power_idx][c].time_s;
-                (best / t).max(1e-6)
-            })
-            .collect();
-        *score = risk_adjusted_score(&ratios);
+/// What one tune request, or one trained model, optimizes for — and the one
+/// place that says what each objective means: its class count, its
+/// training samples, its Table II optimizer, its class prior, and how a
+/// class decodes to a [`ConfigPoint`]. The derived order — every `Time` by
+/// power index, then `Edp` — is the order batches dispatch their objective
+/// groups in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum TuneObjective {
+    /// Best execution time at power level `power_idx` of the machine's
+    /// search space (scenario 1).
+    Time {
+        /// Index into `SearchSpace::power_levels`.
+        power_idx: usize,
+    },
+    /// Best energy-delay product over the joint power × configuration space
+    /// (scenario 2).
+    Edp,
+}
+
+impl TuneObjective {
+    /// The class count: OpenMP configurations per power level for time,
+    /// joint (power × configuration) points for EDP.
+    pub(crate) fn num_classes(&self, space: &SearchSpace) -> usize {
+        match self {
+            TuneObjective::Time { .. } => space.configs_per_power(),
+            TuneObjective::Edp => space.num_tuned_points(),
+        }
     }
-    scores
+
+    /// Table II: AdamW (amsgrad) for the time objective, plain Adam for EDP.
+    pub(crate) fn optimizer(&self) -> OptimizerKind {
+        match self {
+            TuneObjective::Time { .. } => OptimizerKind::AdamWAmsgrad,
+            TuneObjective::Edp => OptimizerKind::Adam,
+        }
+    }
+
+    /// Region `i`'s counters for a dynamic model: its default run at the
+    /// objective's power level — at TDP (the highest level) for EDP,
+    /// matching "two profiling executions" in the paper — plus the
+    /// normalized cap when `include_power`.
+    fn counters(&self, ds: &Dataset, i: usize, include_power: bool) -> Vec<f32> {
+        let power_idx = match *self {
+            TuneObjective::Time { power_idx } => power_idx,
+            TuneObjective::Edp => ds.space.power_levels.len() - 1,
+        };
+        ds.dynamic_features(i, power_idx, include_power)
+    }
+
+    /// Region `i`'s training sample: its graph labelled with its best class
+    /// under this objective, plus its counters when `dynamic` is
+    /// `Some(include_power)`.
+    pub(crate) fn sample(&self, ds: &Dataset, i: usize, dynamic: Option<bool>) -> TrainingSample {
+        let label = match *self {
+            TuneObjective::Time { power_idx } => ds.sweeps[i].best_time_config(power_idx),
+            TuneObjective::Edp => {
+                let (p, c) = ds.sweeps[i].best_edp_point();
+                ds.space.joint_index(p, c)
+            }
+        };
+        TrainingSample {
+            graph: ds.regions[i].graph.clone(),
+            dynamic: dynamic.map(|include_power| self.counters(ds, i, include_power)),
+            label,
+            group: ds.regions[i].app.clone(),
+        }
+    }
+
+    /// [`TuneObjective::sample`] for each of `regions`, in order.
+    pub(crate) fn samples(
+        &self,
+        ds: &Dataset,
+        regions: impl IntoIterator<Item = usize>,
+        dynamic: Option<bool>,
+    ) -> Vec<TrainingSample> {
+        regions
+            .into_iter()
+            .map(|i| self.sample(ds, i, dynamic))
+            .collect()
+    }
+
+    /// Per-class "prior quality" scores computed from the training sweeps:
+    /// `score[c]` combines the geometric mean over training regions of
+    /// `best / observed(c)` — time at the objective's power level, or EDP —
+    /// with a [`RISK_WEIGHT`]-weighted worst-case term. Predictions blend
+    /// the classifier's probabilities with this prior (`ln p + ln prior`),
+    /// which keeps the tuner sensible when the model is uncertain — the GNN
+    /// sharpens the choice where it has signal and the prior prevents
+    /// catastrophic picks (e.g. a huge-chunk static schedule for a short
+    /// loop) where it does not. The paper's models are trained far longer on
+    /// real hardware; this blending compensates for the reduced training
+    /// budget of the reproduction and is documented in DESIGN.md §11.
+    pub(crate) fn class_prior(&self, ds: &Dataset, train_idx: &[usize]) -> Vec<f64> {
+        let per = ds.space.configs_per_power();
+        (0..self.num_classes(&ds.space))
+            .map(|class| {
+                let ratios: Vec<f64> = train_idx
+                    .iter()
+                    .map(|&i| {
+                        let sweep = &ds.sweeps[i];
+                        match *self {
+                            TuneObjective::Time { power_idx } => (sweep.best_time(power_idx)
+                                / sweep.samples[power_idx][class].time_s)
+                                .max(1e-6),
+                            TuneObjective::Edp => (sweep.best_edp()
+                                / sweep.samples[class / per][class % per].edp())
+                            .max(1e-9),
+                        }
+                    })
+                    .collect();
+                risk_adjusted_score(&ratios)
+            })
+            .collect()
+    }
+
+    /// The configuration point class `class` stands for: an OpenMP
+    /// configuration at the objective's power level, or a joint point.
+    pub(crate) fn decode(&self, space: &SearchSpace, class: usize) -> ConfigPoint {
+        match *self {
+            TuneObjective::Time { power_idx } => ConfigPoint {
+                power_watts: space.power_levels[power_idx],
+                omp: space.omp_config(class),
+            },
+            TuneObjective::Edp => space.decode_joint(class),
+        }
+    }
 }
 
 /// Weight of the worst-case (minimum over training regions) ratio inside the
@@ -247,47 +344,23 @@ pub(crate) fn risk_adjusted_score(ratios: &[f64]) -> f64 {
     (mean + RISK_WEIGHT * log_min).exp()
 }
 
-pub(crate) fn class_prior_scenario2(ds: &Dataset, train_idx: &[usize]) -> Vec<f64> {
-    let per = ds.space.configs_per_power();
-    let num_classes = ds.space.num_tuned_points();
-    let mut scores = vec![0.0f64; num_classes];
-    for (class, score) in scores.iter_mut().enumerate() {
-        let (p, c) = (class / per, class % per);
-        let ratios: Vec<f64> = train_idx
-            .iter()
-            .map(|&i| {
-                let best = ds.sweeps[i].best_edp();
-                let e = ds.sweeps[i].samples[p][c].edp();
-                (best / e).max(1e-9)
-            })
-            .collect();
-        *score = risk_adjusted_score(&ratios);
-    }
-    scores
+/// The `ln p + ln prior` score of one class, the model's f32 probability
+/// clamped before it widens to f64 — one formula for the argmax below and
+/// [`crate::PnPTuner::predict_ranked`]'s ranking.
+pub(crate) fn blend_score(p: f32, prior: f64) -> f64 {
+    (p.max(1e-9) as f64).ln() + prior.max(1e-9).ln()
 }
 
-/// Picks the class maximizing `ln p_model + ln prior`. (A 2x prior
+/// The [`blend_score`] argmax with strict `>` comparison. (A 2x prior
 /// upweighting for the extrapolating unseen-power pipeline was measured and
 /// rejected: it nudged the full-suite fig. 4 geomean up by ~2 % but clearly
 /// hurt the reduced validation suite — one shared weight keeps the blend
 /// predictable.)
-pub(crate) fn predict_with_prior(
-    model: &PnPModel,
-    graph: &pnp_graph::EncodedGraph,
-    dynamic: Option<&[f32]>,
-    prior: &[f64],
-) -> usize {
-    let probs = model.predict_proba(graph, dynamic);
-    prior_blend_argmax(&probs, prior)
-}
-
-/// The `ln p + ln prior` argmax with strict `>` comparison — one function
-/// shared by the single and batched predictors so tie-breaking cannot drift.
 fn prior_blend_argmax(probs: &[f32], prior: &[f64]) -> usize {
     let mut best = 0usize;
     let mut best_score = f64::NEG_INFINITY;
     for (c, (&p, &q)) in probs.iter().zip(prior).enumerate() {
-        let score = (p.max(1e-9) as f64).ln() + q.max(1e-9).ln();
+        let score = blend_score(p, q);
         if score > best_score {
             best_score = score;
             best = c;
@@ -296,18 +369,18 @@ fn prior_blend_argmax(probs: &[f32], prior: &[f64]) -> usize {
     best
 }
 
-/// Batched twin of [`predict_with_prior`]: one class per graph through the
-/// fused block-diagonal forward ([`pnp_gnn::GraphBatch`], DESIGN.md §15),
-/// bit-identical to looping `predict_with_prior` over the graphs — the LOOCV
-/// prediction phases call this so a whole validation fold costs one tall
-/// matmul per relation per layer instead of one small matmul per region.
+/// The prior-blended class of each graph through the fused block-diagonal
+/// forward ([`pnp_gnn::GraphBatch`]), bit-identical to predicting each
+/// graph alone (DESIGN.md §15) — so a whole validation fold or evaluation
+/// set costs one tall matmul per relation per layer instead of one small
+/// matmul per region. A single prediction is a batch of one.
 ///
 /// # Panics
 ///
-/// If the fold's graphs cannot form a batch — a zero-node graph or an edge
-/// outside its graph. `Dataset` is built only from regions that
-/// `build_region_graph` produced and `EncodedGraph::encode` encoded, which
-/// never yields either.
+/// If the graphs cannot form a batch — a zero-node graph or an edge
+/// outside its graph, as the single-graph forward does. A graph that
+/// `build_region_graph` produced and `EncodedGraph::encode` encoded, as
+/// every `Dataset` region is, never has either.
 pub(crate) fn predict_with_prior_batch(
     model: &PnPModel,
     graphs: &[&pnp_graph::EncodedGraph],
@@ -318,7 +391,7 @@ pub(crate) fn predict_with_prior_batch(
         return Vec::new();
     }
     let batch = pnp_gnn::GraphBatch::from_graphs(graphs)
-        .expect("Dataset regions are built region graphs: non-empty, edges in range");
+        .expect("cannot run the model on these graphs: a graph has no nodes or a stray edge");
     model
         .predict_proba_batch(&batch, dynamic)
         .iter()
@@ -326,21 +399,24 @@ pub(crate) fn predict_with_prior_batch(
         .collect()
 }
 
-fn scenario1_samples(
+/// Trains one static-feature model for `objective` on *every* region of
+/// `ds` (no folds), seeded `settings.seed ^ seed_offset`. Three families
+/// train this way, each under its own offset so their weights stay
+/// disjoint from every LOOCV grid under the `grid-v1` seed scheme
+/// (DESIGN.md §10): the deployment [`crate::PnPTuner`] (0), the
+/// out-of-distribution models (`0x8000 + power_idx`) and the transfer
+/// experiment's source model (`0x7000`).
+pub(crate) fn train_on_all(
     ds: &Dataset,
-    power_idx: usize,
-    region_indices: &[usize],
-    dynamic: Option<bool>, // Some(include_power)
-) -> Vec<TrainingSample> {
-    region_indices
-        .iter()
-        .map(|&i| TrainingSample {
-            graph: ds.regions[i].graph.clone(),
-            dynamic: dynamic.map(|inc_power| ds.dynamic_features(i, power_idx, inc_power)),
-            label: ds.sweeps[i].best_time_config(power_idx),
-            group: ds.regions[i].app.clone(),
-        })
-        .collect()
+    settings: &TrainSettings,
+    objective: TuneObjective,
+    seed_offset: u64,
+) -> PnPModel {
+    let config = settings.model_config(objective.num_classes(&ds.space), 0, seed_offset);
+    let mut model = PnPModel::new(config);
+    let samples = objective.samples(ds, 0..ds.len(), None);
+    Trainer::new(settings.train_config(objective.optimizer(), false)).train(&mut model, &samples);
+    model
 }
 
 /// One LOOCV model grid, and the one place that says what such a grid is
@@ -423,34 +499,38 @@ impl GridPipeline {
         })
     }
 
-    /// Job `(fold_idx, power_idx)`'s model: the grid's class count and
-    /// dynamic width (the counters, plus the normalized cap for the
-    /// unseen-power grid), seeded `settings.seed ^ offset` from the job's
-    /// grid coordinates — never from execution order (DESIGN.md §10).
+    /// What job `(fold_idx, power_idx)`'s model predicts: time at the job's
+    /// power level, EDP, or time at the held-out cap.
+    pub(crate) fn objective(&self, (_, power_idx): (usize, usize)) -> TuneObjective {
+        match *self {
+            GridPipeline::Scenario1 { .. } => TuneObjective::Time { power_idx },
+            GridPipeline::Scenario2 { .. } => TuneObjective::Edp,
+            GridPipeline::UnseenPower { held_out_power } => TuneObjective::Time {
+                power_idx: held_out_power,
+            },
+        }
+    }
+
+    /// Job `(fold_idx, power_idx)`'s model: its objective's class count and
+    /// the grid's dynamic width (the counters, plus the normalized cap for
+    /// the unseen-power grid), seeded `settings.seed ^ offset` from the
+    /// job's grid coordinates — never from execution order (DESIGN.md §10).
     pub(crate) fn model_config(
         &self,
         ds: &Dataset,
         settings: &TrainSettings,
-        (fold_idx, power_idx): (usize, usize),
+        at: (usize, usize),
     ) -> ModelConfig {
+        let (fold_idx, power_idx) = at;
         let counters = |dynamic: bool| if dynamic { COUNTERS } else { 0 };
-        let (num_classes, num_dynamic, seed_offset) = match *self {
-            GridPipeline::Scenario1 { dynamic } => (
-                ds.space.configs_per_power(),
-                counters(dynamic),
-                fold_idx * 16 + power_idx,
-            ),
-            GridPipeline::Scenario2 { dynamic } => (
-                ds.space.num_tuned_points(),
-                counters(dynamic),
-                0x2000 + fold_idx,
-            ),
-            GridPipeline::UnseenPower { held_out_power } => (
-                ds.space.configs_per_power(),
-                COUNTERS + 1,
-                0x4000 + fold_idx * 8 + held_out_power,
-            ),
+        let (num_dynamic, seed_offset) = match *self {
+            GridPipeline::Scenario1 { dynamic } => (counters(dynamic), fold_idx * 16 + power_idx),
+            GridPipeline::Scenario2 { dynamic } => (counters(dynamic), 0x2000 + fold_idx),
+            GridPipeline::UnseenPower { held_out_power } => {
+                (COUNTERS + 1, 0x4000 + fold_idx * 8 + held_out_power)
+            }
         };
+        let num_classes = self.objective(at).num_classes(&ds.space);
         settings.model_config(num_classes, num_dynamic, seed_offset as u64)
     }
 
@@ -598,25 +678,50 @@ fn replay_or_train(
 }
 
 /// Predicts a validation fold through one fused block-diagonal forward —
-/// bit-identical to the per-region loop (DESIGN.md §15). `counters` names
-/// the `(power_idx, include_power)` the dynamic features are read at, for
-/// a model that takes them.
+/// bit-identical to the per-region loop (DESIGN.md §15). `dynamic` is
+/// `Some(include_power)` for a model that reads `objective`'s counters.
 fn predict_fold(
     model: &PnPModel,
     ds: &Dataset,
     val_idx: &[usize],
-    counters: Option<(usize, bool)>,
+    objective: TuneObjective,
+    dynamic: Option<bool>,
     prior: &[f64],
 ) -> Vec<usize> {
     let graphs: Vec<&pnp_graph::EncodedGraph> =
         val_idx.iter().map(|&i| &ds.regions[i].graph).collect();
-    let dynamic: Option<Vec<Vec<f32>>> = counters.map(|(p, include_power)| {
+    let counters: Option<Vec<Vec<f32>>> = dynamic.map(|include_power| {
         val_idx
             .iter()
-            .map(|&i| ds.dynamic_features(i, p, include_power))
+            .map(|&i| objective.counters(ds, i, include_power))
             .collect()
     });
-    predict_with_prior_batch(model, &graphs, dynamic.as_deref(), prior)
+    predict_with_prior_batch(model, &graphs, counters.as_deref(), prior)
+}
+
+/// The scenario grids' jobs: each learns its [`GridPipeline::objective`]
+/// from its training regions (with their counters when `use_dynamic`) and
+/// predicts its validation fold, blended with the objective's class prior
+/// over the training regions.
+fn scenario_grid(
+    ds: &Dataset,
+    settings: &TrainSettings,
+    pipeline: GridPipeline,
+    use_dynamic: bool,
+    cache: Option<&DatasetCache>,
+) -> Vec<(Job, Vec<usize>)> {
+    let dynamic = use_dynamic.then_some(false);
+    let train_job = |job: &Job, model: &mut PnPModel| {
+        let objective = pipeline.objective(job.at);
+        let samples = objective.samples(ds, job.train_idx.iter().copied(), dynamic);
+        Trainer::new(settings.train_config(objective.optimizer(), false)).train(model, &samples);
+    };
+    let predict_job = |job: &Job, model: &PnPModel| {
+        let objective = pipeline.objective(job.at);
+        let prior = objective.class_prior(ds, &job.train_idx);
+        predict_fold(model, ds, &job.val_idx, objective, dynamic, &prior)
+    };
+    replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job)
 }
 
 /// Scenario 1 (power-constrained tuning): trains one model per fold per power
@@ -639,23 +744,11 @@ pub fn train_scenario1_models_cached(
     use_dynamic: bool,
     cache: Option<&DatasetCache>,
 ) -> Vec<Vec<usize>> {
-    let train_job = |job: &Job, model: &mut PnPModel| {
-        let dynamic = use_dynamic.then_some(false);
-        let samples = scenario1_samples(ds, job.at.1, &job.train_idx, dynamic);
-        Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false))
-            .train(model, &samples);
-    };
-    let predict_job = |job: &Job, model: &PnPModel| {
-        let power_idx = job.at.1;
-        let prior = class_prior_scenario1(ds, power_idx, &job.train_idx);
-        let counters = use_dynamic.then_some((power_idx, false));
-        predict_fold(model, ds, &job.val_idx, counters, &prior)
-    };
     let pipeline = GridPipeline::Scenario1 {
         dynamic: use_dynamic,
     };
     let mut predictions = vec![vec![0usize; ds.space.power_levels.len()]; ds.len()];
-    for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
+    for (job, preds) in scenario_grid(ds, settings, pipeline, use_dynamic, cache) {
         for (&i, class) in job.val_idx.iter().zip(preds) {
             predictions[i][job.at.1] = class;
         }
@@ -665,7 +758,8 @@ pub fn train_scenario1_models_cached(
 
 /// Scenario 2 (EDP tuning): trains one model per fold over the joint
 /// (power × configuration) class space and returns `predictions[region]` =
-/// predicted joint class.
+/// predicted joint class. The dynamic variant reads the counters of the
+/// default run at TDP.
 ///
 /// Folds are independent jobs and fan out over
 /// [`TrainSettings::train_threads`] workers with per-fold [`GridPipeline`]
@@ -679,36 +773,11 @@ pub fn train_scenario2_model_cached(
     use_dynamic: bool,
     cache: Option<&DatasetCache>,
 ) -> Vec<usize> {
-    // Counters for the EDP scenario come from the default run at TDP (the
-    // highest power level), matching "two profiling executions" in the paper.
-    let tdp_idx = ds.space.power_levels.len() - 1;
-    let counters = use_dynamic.then_some((tdp_idx, false));
-    let train_job = |job: &Job, model: &mut PnPModel| {
-        let samples: Vec<TrainingSample> = job
-            .train_idx
-            .iter()
-            .map(|&i| {
-                let (p, c) = ds.sweeps[i].best_edp_point();
-                TrainingSample {
-                    graph: ds.regions[i].graph.clone(),
-                    dynamic: counters.map(|(tdp, inc)| ds.dynamic_features(i, tdp, inc)),
-                    label: ds.space.joint_index(p, c),
-                    group: ds.regions[i].app.clone(),
-                }
-            })
-            .collect();
-        // Table II: the EDP experiments use plain Adam.
-        Trainer::new(settings.train_config(OptimizerKind::Adam, false)).train(model, &samples);
-    };
-    let predict_job = |job: &Job, model: &PnPModel| {
-        let prior = class_prior_scenario2(ds, &job.train_idx);
-        predict_fold(model, ds, &job.val_idx, counters, &prior)
-    };
     let pipeline = GridPipeline::Scenario2 {
         dynamic: use_dynamic,
     };
     let mut predictions = vec![0usize; ds.len()];
-    for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
+    for (job, preds) in scenario_grid(ds, settings, pipeline, use_dynamic, cache) {
         for (&i, class) in job.val_idx.iter().zip(preds) {
             predictions[i] = class;
         }
@@ -733,23 +802,24 @@ pub fn train_unseen_power_cached(
     held_out_power: usize,
     cache: Option<&DatasetCache>,
 ) -> Vec<usize> {
+    let pipeline = GridPipeline::UnseenPower { held_out_power };
+    let held_out = TuneObjective::Time {
+        power_idx: held_out_power,
+    };
     let train_powers: Vec<usize> = (0..ds.space.power_levels.len())
         .filter(|&p| p != held_out_power)
         .collect();
     let train_job = |job: &Job, model: &mut PnPModel| {
-        let mut samples = Vec::new();
-        for &i in job.train_idx.iter() {
-            for &p in &train_powers {
-                samples.push(TrainingSample {
-                    graph: ds.regions[i].graph.clone(),
-                    dynamic: Some(ds.dynamic_features(i, p, true)),
-                    label: ds.sweeps[i].best_time_config(p),
-                    group: ds.regions[i].app.clone(),
-                });
-            }
-        }
-        Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false))
-            .train(model, &samples);
+        let samples: Vec<TrainingSample> = job
+            .train_idx
+            .iter()
+            .flat_map(|&i| {
+                train_powers.iter().map(move |&power_idx| {
+                    TuneObjective::Time { power_idx }.sample(ds, i, Some(true))
+                })
+            })
+            .collect();
+        Trainer::new(settings.train_config(held_out.optimizer(), false)).train(model, &samples);
     };
     let predict_job = |job: &Job, model: &PnPModel| {
         // The prior for the unseen cap is a proximity-weighted average
@@ -764,29 +834,20 @@ pub fn train_unseen_power_cached(
         let scale = ds.machine.tdp_watts.max(1e-9);
         let mut prior = vec![0.0f64; ds.space.configs_per_power()];
         let mut total_w = 0.0f64;
-        for &p in &train_powers {
-            let dist = (ds.space.power_levels[p] - held_cap).abs() / scale;
+        for &power_idx in &train_powers {
+            let dist = (ds.space.power_levels[power_idx] - held_cap).abs() / scale;
             let w = 1.0 / (dist + 0.05);
             total_w += w;
-            for (c, v) in class_prior_scenario1(ds, p, &job.train_idx)
-                .into_iter()
-                .enumerate()
-            {
-                prior[c] += w * v;
+            let at_cap = TuneObjective::Time { power_idx }.class_prior(ds, &job.train_idx);
+            for (q, v) in prior.iter_mut().zip(at_cap) {
+                *q += w * v;
             }
         }
         for v in &mut prior {
             *v /= total_w.max(1e-9);
         }
-        predict_fold(
-            model,
-            ds,
-            &job.val_idx,
-            Some((held_out_power, true)),
-            &prior,
-        )
+        predict_fold(model, ds, &job.val_idx, held_out, Some(true), &prior)
     };
-    let pipeline = GridPipeline::UnseenPower { held_out_power };
     let mut predictions = vec![0usize; ds.len()];
     for (job, preds) in replay_or_train(ds, settings, pipeline, cache, &train_job, &predict_job) {
         for (&i, class) in job.val_idx.iter().zip(preds) {
@@ -829,18 +890,13 @@ pub fn transfer_experiment(
     settings: &TrainSettings,
     power_idx: usize,
 ) -> TransferReport {
-    let num_classes = source.space.configs_per_power();
-    let all: Vec<usize> = (0..source.len()).collect();
-    let source_samples = scenario1_samples(source, power_idx, &all, None);
-    let mut source_model = PnPModel::new(settings.model_config(num_classes, 0, 0x7000));
-    let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
-    trainer.train(&mut source_model, &source_samples);
-    let bundle: ParameterBundle = source_model.gnn_weights();
-
-    let all_t: Vec<usize> = (0..target.len()).collect();
-    let target_samples = scenario1_samples(target, power_idx, &all_t, None);
+    let objective = TuneObjective::Time { power_idx };
+    let bundle = train_on_all(source, settings, objective, 0x7000).gnn_weights();
+    let num_classes = objective.num_classes(&source.space);
+    let target_samples = objective.samples(target, 0..target.len(), None);
 
     // From scratch on the target machine.
+    let trainer = Trainer::new(settings.train_config(objective.optimizer(), false));
     let mut scratch_model = PnPModel::new(settings.model_config(num_classes, 0, 0x7100));
     // pnp-lint: allow(wall-clock) — the transfer experiment's deliverable IS wall-clock training time
     let t0 = Instant::now();
@@ -857,7 +913,7 @@ pub fn transfer_experiment(
     // `transfer.accuracy` paper-fidelity invariant, DESIGN.md §11.)
     let mut transfer_model = PnPModel::new(settings.model_config(num_classes, 0, 0x7200));
     transfer_model.load_gnn_weights(&bundle);
-    let frozen_trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, true));
+    let frozen_trainer = Trainer::new(settings.train_config(objective.optimizer(), true));
     // pnp-lint: allow(wall-clock) — paired timing against the scratch run above
     let t1 = Instant::now();
     let transfer_report = frozen_trainer.train(&mut transfer_model, &target_samples);
@@ -869,25 +925,6 @@ pub fn transfer_experiment(
         scratch_accuracy: scratch_report.final_train_accuracy,
         transfer_accuracy: transfer_report.final_train_accuracy,
     }
-}
-
-/// Trains one static-feature model on the *whole* source dataset (no folds)
-/// for the out-of-distribution experiment: train on every paper region,
-/// evaluate on generated kernels the suite has never seen. Seed offsets
-/// `0x8000 + power_idx` keep the OOD family's weights disjoint from every
-/// other pipeline under the `grid-v1` seed scheme (DESIGN.md §10).
-pub(crate) fn train_ood_model(
-    ds: &Dataset,
-    settings: &TrainSettings,
-    power_idx: usize,
-) -> PnPModel {
-    let num_classes = ds.space.configs_per_power();
-    let all: Vec<usize> = (0..ds.len()).collect();
-    let samples = scenario1_samples(ds, power_idx, &all, None);
-    let mut model = PnPModel::new(settings.model_config(num_classes, 0, 0x8000 + power_idx as u64));
-    let trainer = Trainer::new(settings.train_config(OptimizerKind::AdamWAmsgrad, false));
-    trainer.train(&mut model, &samples);
-    model
 }
 
 #[cfg(test)]

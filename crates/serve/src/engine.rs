@@ -5,15 +5,15 @@
 //! dataset once, reads and restores **every** model grid in the store once,
 //! through the [`GridPipeline`] its key names (fit-checking each — an unfit
 //! or corrupt checkpoint is skipped with a log line, never misapplied), and
-//! hands each machine's static scenario-1/2 grids on to one
-//! [`TuneService`]. The registry reads through a plain store, so build-only
-//! store modes cannot turn those reads into misses. Requests are
-//! then served by [`ServeEngine::tune_batch`]: the batch is grouped by
-//! machine and objective, and the groups fan out over the in-tree
-//! `pnp_openmp` pool via `parallel_map`, each group running as one fused
-//! block-diagonal forward ([`TuneService::tune_batch`], DESIGN.md §15) —
-//! one tall matmul per relation per layer instead of one small matmul per
-//! request. Inference takes `&self`, so every worker reads the same shared
+//! assembles each machine's [`TuneService`] from the models its static
+//! scenario-1/2 grids restored to. The registry reads through a plain
+//! store, so build-only store modes cannot turn those reads into misses.
+//! Requests are then served by [`ServeEngine::tune_batch`]: the batch is
+//! grouped by machine and objective, and the groups fan out over the
+//! in-tree `pnp_openmp` pool via `parallel_map`, each group running as one
+//! fused block-diagonal forward ([`TuneService::tune_batch`], DESIGN.md
+//! §15) — one tall matmul per relation per layer instead of one small
+//! matmul per request. Inference takes `&self`, so every worker reads the same shared
 //! service without a lock, and the fused forward is bit-identical to the
 //! single-graph one: the response vector is bit-identical for every worker
 //! count and batch composition — and identical to the offline
@@ -104,10 +104,10 @@ pub struct ServeEngine {
     grids_skipped: AtomicUsize,
 }
 
-/// Restores and fit-checks every grid in `registry`, then restores one
+/// Restores and fit-checks every grid in `registry`, then assembles one
 /// service per machine — the shared body of cold start and reload. Each
-/// grid is read once: the fit check keeps the static pair's grids for the
-/// service restore.
+/// grid is read and restored once: the fit check keeps the static pair's
+/// restored models for the service.
 fn build_services(
     registry: &ModelRegistry,
     report: &mut StartupReport,
@@ -140,18 +140,18 @@ fn build_services(
                 let grid = registry
                     .load_grid(model)
                     .ok_or_else(|| "grid payload failed to load".to_string())?;
-                let n = restore_grid(&ds, &settings, model.grid, &grid)?.len();
-                Ok((settings, grid, n))
+                restore_grid(&ds, &settings, model.grid, &grid)
             });
             match outcome {
-                Ok((settings, grid, n)) => {
+                Ok(restored) => {
                     report.grids_loaded += 1;
+                    let n = restored.len();
                     report.log(format!("loaded {} ({n} checkpoints)", model.id));
                     match model.grid {
                         GridPipeline::Scenario1 { dynamic: false } => {
-                            time = Some((model, settings, grid))
+                            time = Some((model, restored))
                         }
-                        GridPipeline::Scenario2 { dynamic: false } => edp = Some((model, grid)),
+                        GridPipeline::Scenario2 { dynamic: false } => edp = Some((model, restored)),
                         _ => {}
                     }
                 }
@@ -176,14 +176,14 @@ fn build_services(
             ));
             continue;
         }
-        let (Some((s1, settings, grid1)), Some((s2, grid2))) = (time, edp) else {
+        let (Some((s1, grid1)), Some((s2, grid2))) = (time, edp) else {
             report.log(format!(
                 "machine {}: no loadable static scenario1+scenario2 pair — not serving",
                 dataset.machine
             ));
             continue;
         };
-        match TuneService::restore(&ds, &settings, &grid1, &grid2, &s1.id, &s2.id) {
+        match TuneService::assemble(&ds, grid1, grid2, &s1.id, &s2.id) {
             Ok(service) => {
                 report.log(format!(
                     "machine {}: serving (time={}, edp={})",
@@ -192,7 +192,7 @@ fn build_services(
                 machines.insert(dataset.machine.clone(), service);
             }
             Err(why) => report.log(format!(
-                "machine {}: service restore failed: {why}",
+                "machine {}: service assembly failed: {why}",
                 dataset.machine
             )),
         }

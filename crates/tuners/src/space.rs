@@ -75,6 +75,22 @@ impl SearchSpace {
         v
     }
 
+    /// The OpenMP configuration of class `class` within a power level —
+    /// `omp_configs()[class]` without building the list, and the inverse of
+    /// [`SearchSpace::omp_index`].
+    ///
+    /// # Panics
+    ///
+    /// If `class >= configs_per_power()`.
+    pub fn omp_config(&self, class: usize) -> OmpConfig {
+        let (schedules, chunks) = (self.schedules.len(), self.chunk_sizes.len());
+        OmpConfig::new(
+            self.thread_counts[class / (schedules * chunks)],
+            self.schedules[class / chunks % schedules],
+            Some(self.chunk_sizes[class % chunks]),
+        )
+    }
+
     /// The class index of an OpenMP configuration within a power level, if it
     /// is part of the tuned space.
     pub fn omp_index(&self, config: &OmpConfig) -> Option<usize> {
@@ -114,11 +130,9 @@ impl SearchSpace {
     /// Decodes a joint-space class index back into a [`ConfigPoint`].
     pub fn decode_joint(&self, class: usize) -> ConfigPoint {
         let per = self.configs_per_power();
-        let power_idx = class / per;
-        let omp_idx = class % per;
         ConfigPoint {
-            power_watts: self.power_levels[power_idx],
-            omp: self.omp_configs()[omp_idx],
+            power_watts: self.power_levels[class / per],
+            omp: self.omp_config(class % per),
         }
     }
 
@@ -173,6 +187,22 @@ mod tests {
         }
         // The default configuration (no explicit chunk) is outside the tuned space.
         assert_eq!(space.omp_index(&space.default_config), None);
+    }
+
+    #[test]
+    fn omp_config_inverts_omp_index_for_every_class() {
+        for machine in [haswell(), skylake()] {
+            let space = SearchSpace::for_machine(&machine);
+            for (class, config) in space.omp_configs().iter().enumerate() {
+                assert_eq!(
+                    &space.omp_config(class),
+                    config,
+                    "{} class {class}",
+                    machine.name
+                );
+                assert_eq!(space.omp_index(&space.omp_config(class)), Some(class));
+            }
+        }
     }
 
     #[test]

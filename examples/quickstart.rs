@@ -1,6 +1,9 @@
 //! Quickstart: describe an OpenMP region, build its flow-aware code graph,
 //! train a PnP tuner on the benchmark suite, and ask it for the best
 //! configuration under a 40 W power cap — without executing the region.
+//! The tuner's objective is a `TuneObjective`, the same type a served tune
+//! request carries: `Time { power_idx: 0 }` here (best time at the lowest
+//! cap); `TuneObjective::Edp` would pick the power cap too.
 //!
 //! Run with:
 //! ```text
@@ -10,8 +13,9 @@
 use pnp_benchmarks::builders::stencil2d_kernel;
 use pnp_benchmarks::full_suite;
 use pnp_core::dataset::Dataset;
-use pnp_core::pnp::{PnPTuner, TunerMode};
+use pnp_core::pnp::PnPTuner;
 use pnp_core::training::TrainSettings;
+use pnp_core::TuneObjective;
 use pnp_graph::{EncodedGraph, GraphFeatures, Vocabulary};
 use pnp_ir::lower_kernel;
 use pnp_machine::haswell;
@@ -61,11 +65,7 @@ fn run() {
     );
     let settings = TrainSettings::quick();
     println!("training the PnP tuner ({} epochs)...", settings.epochs);
-    let tuner = PnPTuner::train(
-        &dataset,
-        TunerMode::PowerConstrained { power_idx: 0 },
-        &settings,
-    );
+    let tuner = PnPTuner::train(&dataset, TuneObjective::Time { power_idx: 0 }, &settings);
 
     // 3. Ask for the best configuration for the unseen region.
     let encoded = EncodedGraph::encode(&graph, &Vocabulary::standard());

@@ -3,8 +3,9 @@
 
 use pnp_benchmarks::full_suite;
 use pnp_core::dataset::Dataset;
-use pnp_core::pnp::{PnPTuner, TunerMode};
+use pnp_core::pnp::PnPTuner;
 use pnp_core::training::{train_scenario1_models_cached, FoldPlan, TrainSettings};
+use pnp_core::TuneObjective;
 use pnp_graph::Vocabulary;
 use pnp_machine::haswell;
 
@@ -73,7 +74,7 @@ fn deployed_pnp_tuner_beats_the_default_on_training_regions() {
     let ds = small_dataset();
     let mut settings = fast_settings();
     settings.epochs = 20;
-    let tuner = PnPTuner::train(&ds, TunerMode::PowerConstrained { power_idx: 0 }, &settings);
+    let tuner = PnPTuner::train(&ds, TuneObjective::Time { power_idx: 0 }, &settings);
 
     let mut tuned_better_or_equal = 0usize;
     for i in 0..ds.len() {
@@ -97,7 +98,7 @@ fn edp_mode_predictions_reduce_edp_relative_to_default_at_tdp() {
     let ds = small_dataset();
     let mut settings = fast_settings();
     settings.epochs = 20;
-    let tuner = PnPTuner::train(&ds, TunerMode::Edp, &settings);
+    let tuner = PnPTuner::train(&ds, TuneObjective::Edp, &settings);
     let tdp_idx = ds.space.power_levels.len() - 1;
 
     let mut improvements = Vec::new();
