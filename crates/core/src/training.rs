@@ -33,7 +33,7 @@
 //! job plan falls back to training that job, never to a panic.
 
 use crate::artifact::{ArtifactKey, DatasetCache};
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Sweep};
 use pnp_gnn::train::OptimizerKind;
 use pnp_gnn::{ModelConfig, PnPModel, TrainConfig, Trainer, TrainingSample};
 use pnp_graph::Vocabulary;
@@ -282,19 +282,27 @@ impl TuneObjective {
     /// budget of the reproduction and is documented in DESIGN.md §11.
     pub(crate) fn class_prior(&self, ds: &Dataset, train_idx: &[usize]) -> Vec<f64> {
         let per = ds.space.configs_per_power();
+        let sweeps: Vec<&Sweep> = train_idx.iter().map(|&i| &ds.sweeps[i]).collect();
+        // A region's best is the same for every class, so it is found once
+        // here: the EDP best alone scans the whole joint space.
+        let best: Vec<f64> = sweeps
+            .iter()
+            .map(|sweep| match *self {
+                TuneObjective::Time { power_idx } => sweep.best_time(power_idx),
+                TuneObjective::Edp => sweep.best_edp(),
+            })
+            .collect();
         (0..self.num_classes(&ds.space))
             .map(|class| {
-                let ratios: Vec<f64> = train_idx
+                let ratios: Vec<f64> = sweeps
                     .iter()
-                    .map(|&i| {
-                        let sweep = &ds.sweeps[i];
-                        match *self {
-                            TuneObjective::Time { power_idx } => (sweep.best_time(power_idx)
-                                / sweep.samples[power_idx][class].time_s)
-                                .max(1e-6),
-                            TuneObjective::Edp => (sweep.best_edp()
-                                / sweep.samples[class / per][class % per].edp())
-                            .max(1e-9),
+                    .zip(&best)
+                    .map(|(sweep, &best)| match *self {
+                        TuneObjective::Time { power_idx } => {
+                            (best / sweep.samples[power_idx][class].time_s).max(1e-6)
+                        }
+                        TuneObjective::Edp => {
+                            (best / sweep.samples[class / per][class % per].edp()).max(1e-9)
                         }
                     })
                     .collect();
@@ -981,6 +989,58 @@ mod tests {
         assert!(risk_adjusted_score(&[1.0; 3]) >= risk_adjusted_score(&[0.9; 3]));
         // Degenerate empty input stays finite (no training regions).
         assert!(risk_adjusted_score(&[]).is_finite());
+    }
+
+    #[test]
+    fn class_priors_match_a_per_class_reference_to_the_bit() {
+        use pnp_benchmarks::builders::{matmul_kernel, small_boundary_kernel, streaming_kernel};
+        use pnp_benchmarks::Application;
+        let apps = vec![
+            Application::new("a1", vec![matmul_kernel("a1_r0", 150, 150, 150)]),
+            Application::new("a2", vec![streaming_kernel("a2_r0", 100_000, 2, 1.0)]),
+            Application::new("a3", vec![small_boundary_kernel("a3_r0", 800, 2)]),
+        ];
+        let ds = Dataset::build(&pnp_machine::haswell(), &apps, &Vocabulary::standard());
+        let per = ds.space.configs_per_power();
+        // The reference finds each region's best inside the class loop.
+        let reference = |objective: TuneObjective, train_idx: &[usize]| -> Vec<u64> {
+            (0..objective.num_classes(&ds.space))
+                .map(|class| {
+                    let ratios: Vec<f64> = train_idx
+                        .iter()
+                        .map(|&i| {
+                            let sweep = &ds.sweeps[i];
+                            match objective {
+                                TuneObjective::Time { power_idx } => (sweep.best_time(power_idx)
+                                    / sweep.samples[power_idx][class].time_s)
+                                    .max(1e-6),
+                                TuneObjective::Edp => (sweep.best_edp()
+                                    / sweep.samples[class / per][class % per].edp())
+                                .max(1e-9),
+                            }
+                        })
+                        .collect();
+                    risk_adjusted_score(&ratios).to_bits()
+                })
+                .collect()
+        };
+        let objectives = (0..ds.space.power_levels.len())
+            .map(|power_idx| TuneObjective::Time { power_idx })
+            .chain([TuneObjective::Edp]);
+        for objective in objectives {
+            for train_idx in [vec![0, 1, 2], vec![2, 0]] {
+                let prior: Vec<u64> = objective
+                    .class_prior(&ds, &train_idx)
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(
+                    prior,
+                    reference(objective, &train_idx),
+                    "{objective:?} over {train_idx:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -78,6 +78,9 @@ fn main() {
     };
     let reload_poll_ms = usize_flag(&args, "--reload-poll-ms", 1000);
 
+    // Cold start spans the index read, every grid's load and fit check,
+    // and each machine's service assembly.
+    let cold_start = Instant::now();
     let registry = ModelRegistry::open(store);
     eprintln!(
         "[pnp-serve] registry: {} dataset(s), {} model grid(s)",
@@ -86,8 +89,10 @@ fn main() {
     );
     let (engine, report) = ServeEngine::start(registry, &config);
     eprintln!(
-        "[pnp-serve] cold start: {} grid(s) loaded, {} skipped",
-        report.grids_loaded, report.grids_skipped
+        "[pnp-serve] cold start: {} grid(s) loaded, {} skipped in {} ms",
+        report.grids_loaded,
+        report.grids_skipped,
+        cold_start.elapsed().as_millis()
     );
     let machines = engine.machines();
     if machines.is_empty() {

@@ -26,10 +26,11 @@ use pnp_graph::Vocabulary;
 use pnp_machine::{haswell, skylake};
 use pnp_openmp::Threads;
 use pnp_serve::{
-    serve, Client, Clock, EngineConfig, RejectReason, Request, Response, ServeConfig, ServeEngine,
+    read_message, serve, write_frame, Client, Clock, EngineConfig, RejectReason, Request, Response,
+    ServeConfig, ServeEngine,
 };
 use pnp_store::Store;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -434,6 +435,45 @@ fn registry_and_control_surface_answer_over_the_wire() {
         client.request(&Request::Shutdown).expect("shutdown"),
         Response::Ok
     ));
+}
+
+#[test]
+fn nesting_bomb_frames_get_typed_errors_and_the_daemon_keeps_answering() {
+    let engine = start_engine(1);
+    let addr = spawn_server(engine, roomy_config(8));
+    let fx = fixture();
+    let request = Request::Tune(TuneRequest {
+        id: 11,
+        machine: "haswell".into(),
+        objective: TuneObjective::Edp,
+        deadline_ms: None,
+        kernel: KernelInput::Graph(fx.ds.regions[0].graph.clone()),
+    });
+    let json = serde_json::to_string(&request).expect("request serializes");
+    let field = "\"kernel\":";
+    let kernel_at = json.find(field).expect("a kernel field") + field.len();
+    let (head, _) = json.split_at(kernel_at);
+    // A tune frame whose kernel opens 100k arrays or objects: unbounded
+    // recursion would overflow the connection thread's stack and abort the
+    // daemon; the parser's depth limit turns it into a typed error reply.
+    for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut stream, format!("{head}{bomb}").as_bytes()).expect("send bomb");
+        let reply: Response = read_message(&mut stream)
+            .expect("a well-formed reply")
+            .expect("a reply before the connection closes");
+        let Response::Error { message } = reply else {
+            panic!("a nesting bomb must answer Error, got {reply:?}");
+        };
+        assert!(message.contains("nesting too deep"), "{message}");
+    }
+    // The same daemon still answers on a fresh connection.
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Ok
+    ));
+    let _ = client.request(&Request::Shutdown);
 }
 
 /// A clock that jumps 100 fake milliseconds on every reading, making

@@ -9,7 +9,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable naming the store directory (empty/unset = disabled).
 pub const STORE_ENV_VAR: &str = "PNP_STORE";
@@ -75,8 +75,15 @@ impl ArtifactHeader {
         io::BufReader::new(file)
             .read_line(&mut line)
             .map_err(|e| format!("read: {e}"))?;
-        let header: ArtifactHeader = serde_json::from_str(line.trim_end_matches('\n'))
-            .map_err(|e| format!("bad header: {e}"))?;
+        ArtifactHeader::parse(line.trim_end_matches('\n'))
+    }
+
+    /// Parses a header line and checks its magic and schema — the checks
+    /// every reader of an artifact file makes before trusting anything else
+    /// in it.
+    fn parse(line: &str) -> Result<ArtifactHeader, String> {
+        let header: ArtifactHeader =
+            serde_json::from_str(line).map_err(|e| format!("bad header: {e}"))?;
         if header.magic != MAGIC {
             return Err(format!("bad magic {:?}", header.magic));
         }
@@ -96,9 +103,13 @@ impl ArtifactHeader {
 /// same crash/concurrency story: readers see the old file or the new one,
 /// never a truncated in-between.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().expect("target path has a parent");
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file in a directory", path.display()),
+        ));
+    };
     fs::create_dir_all(dir)?;
-    let name = path.file_name().expect("target path has a file name");
     let tmp = dir.join(format!(
         ".tmp-{}-{}-{}",
         std::process::id(),
@@ -109,6 +120,34 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path).inspect_err(|_| {
         let _ = fs::remove_file(&tmp);
     })
+}
+
+/// Why a header-valid artifact is rejected when its payload's SHA-256 is
+/// not the one the header records.
+const HASH_MISMATCH: &str = "payload hash mismatch";
+
+/// Validates an artifact file's header against `key` and the payload's
+/// length, returning the payload — borrowed where it lies in `bytes` — and
+/// the SHA-256 the header promises for it. The hash itself is the caller's
+/// to check.
+fn decode_header<'a>(key: &ArtifactKey, bytes: &'a [u8]) -> Result<(&'a [u8], String), String> {
+    let mut lines = bytes.splitn(2, |&b| b == b'\n');
+    let (Some(header_line), Some(payload)) = (lines.next(), lines.next()) else {
+        return Err("no header line".into());
+    };
+    let header_text = std::str::from_utf8(header_line).map_err(|_| "header is not UTF-8")?;
+    let header = ArtifactHeader::parse(header_text)?;
+    if header.kind != key.kind() || header.key != key.canonical() {
+        return Err("key does not match the requested artifact".into());
+    }
+    if payload.len() != header.payload_len {
+        return Err(format!(
+            "truncated payload: {} bytes, header says {}",
+            payload.len(),
+            header.payload_len
+        ));
+    }
+    Ok((payload, header.payload_sha256))
 }
 
 /// A content-addressed artifact store rooted at a directory.
@@ -213,7 +252,7 @@ impl Store {
 
     /// A snapshot of the hit/miss counters.
     pub fn stats(&self) -> StoreStats {
-        *self.stats.lock().expect("store stats lock")
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Where an artifact for `key` lives (whether or not it exists yet).
@@ -227,7 +266,8 @@ impl Store {
     }
 
     fn bump(&self, f: impl FnOnce(&mut StoreStats)) {
-        f(&mut self.stats.lock().expect("store stats lock"));
+        // Plain counters: a panic mid-update cannot leave them inconsistent.
+        f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Records the outcome of a verify-mode byte comparison.
@@ -241,78 +281,51 @@ impl Store {
         });
     }
 
+    /// Reads `key`'s artifact file, or counts a miss: force-rebuild mode
+    /// and an absent or unreadable file both miss.
+    fn read_artifact(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
+        let bytes = if self.force_rebuild {
+            None
+        } else {
+            fs::read(self.artifact_path(key)).ok()
+        };
+        if bytes.is_none() {
+            self.bump(|s| s.misses += 1);
+        }
+        bytes
+    }
+
+    /// Logs and counts a present artifact file rejected as `why`: one
+    /// corrupt miss, which the caller answers by rebuilding (and its save
+    /// overwrites the bad file).
+    fn reject<T>(&self, key: &ArtifactKey, why: &str) -> Option<T> {
+        eprintln!(
+            "[pnp-store] corrupt artifact {} ({why}); rebuilding",
+            self.artifact_path(key).display()
+        );
+        self.bump(|s| {
+            s.corrupt += 1;
+            s.misses += 1;
+        });
+        None
+    }
+
     /// Loads the raw payload bytes for `key`, or `None` on a miss. A present
     /// but unreadable/corrupt/mismatched file is logged, counted in
     /// [`StoreStats::corrupt`], and reported as a miss — the caller falls
     /// back to rebuilding (and its save will overwrite the bad file).
     /// Force-rebuild mode misses unconditionally.
     pub fn load_bytes(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
-        if self.force_rebuild {
-            self.bump(|s| s.misses += 1);
-            return None;
-        }
-        let path = self.artifact_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.bump(|s| s.misses += 1);
-                return None;
-            }
+        let mut bytes = self.read_artifact(key)?;
+        let header_len = match decode_header(key, &bytes) {
+            Ok((payload, sha256)) if sha256_hex(payload) == sha256 => bytes.len() - payload.len(),
+            Ok(_) => return self.reject(key, HASH_MISMATCH),
+            Err(why) => return self.reject(key, &why),
         };
-        match self.decode(key, &bytes) {
-            Ok(payload) => {
-                self.bump(|s| s.hits += 1);
-                Some(payload)
-            }
-            Err(why) => {
-                eprintln!(
-                    "[pnp-store] corrupt artifact {} ({why}); rebuilding",
-                    path.display()
-                );
-                self.bump(|s| {
-                    s.corrupt += 1;
-                    s.misses += 1;
-                });
-                None
-            }
-        }
-    }
-
-    /// Validates an artifact file's header and payload against `key`.
-    fn decode(&self, key: &ArtifactKey, bytes: &[u8]) -> Result<Vec<u8>, String> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("no header line")?;
-        let header_text =
-            std::str::from_utf8(&bytes[..newline]).map_err(|_| "header is not UTF-8")?;
-        let header: ArtifactHeader =
-            serde_json::from_str(header_text).map_err(|e| format!("bad header: {e}"))?;
-        if header.magic != MAGIC {
-            return Err(format!("bad magic {:?}", header.magic));
-        }
-        if header.schema != SCHEMA_VERSION {
-            return Err(format!(
-                "schema {} != current {}",
-                header.schema, SCHEMA_VERSION
-            ));
-        }
-        if header.kind != key.kind() || header.key != key.canonical() {
-            return Err("key does not match the requested artifact".into());
-        }
-        let payload = &bytes[newline + 1..];
-        if payload.len() != header.payload_len {
-            return Err(format!(
-                "truncated payload: {} bytes, header says {}",
-                payload.len(),
-                header.payload_len
-            ));
-        }
-        let sha = sha256_hex(payload);
-        if sha != header.payload_sha256 {
-            return Err("payload hash mismatch".into());
-        }
-        Ok(payload.to_vec())
+        // Strip the header in place: the payload is most of the file.
+        bytes.drain(..header_len);
+        self.bump(|s| s.hits += 1);
+        Some(bytes)
     }
 
     /// Writes `payload` for `key` atomically (temp file in the destination
@@ -341,29 +354,42 @@ impl Store {
     /// Loads and deserializes an artifact. Corrupt files and deserialization
     /// failures count as misses (with a log line) so callers always have the
     /// rebuild fallback.
+    ///
+    /// The payload is parsed where it lies in the file buffer while a scoped
+    /// thread checks its SHA-256 (inline if no thread can be spawned), and
+    /// the value is returned only on a hash match: a hash mismatch outranks
+    /// any parse error, so a damaged payload is always reported as one
+    /// (DESIGN.md §12).
     pub fn load<T: Deserialize>(&self, key: &ArtifactKey) -> Option<T> {
-        let bytes = self.load_bytes(key)?;
-        let reclass_corrupt = |why: String| {
-            eprintln!(
-                "[pnp-store] artifact {} {why}; rebuilding",
-                self.artifact_path(key).display()
-            );
-            self.bump(|s| {
-                s.corrupt += 1;
-                // The earlier load_bytes counted a hit; re-class it.
-                s.hits -= 1;
-                s.misses += 1;
-            });
+        let bytes = self.read_artifact(key)?;
+        let (payload, sha256) = match decode_header(key, &bytes) {
+            Ok(header) => header,
+            Err(why) => return self.reject(key, &why),
         };
-        let Ok(text) = String::from_utf8(bytes) else {
-            reclass_corrupt("is not UTF-8".to_string());
-            return None;
-        };
-        match serde_json::from_str(&text) {
-            Ok(value) => Some(value),
-            Err(e) => {
-                reclass_corrupt(format!("does not deserialize ({e})"));
-                None
+        let hash_matches = || sha256_hex(payload) == sha256;
+        let (hashed, parsed) = std::thread::scope(|scope| {
+            let hasher = std::thread::Builder::new()
+                .name("pnp-store-sha256".into())
+                .spawn_scoped(scope, hash_matches);
+            let parsed = std::str::from_utf8(payload)
+                .map_err(|_| "payload is not UTF-8".to_string())
+                .and_then(|text| {
+                    serde_json::from_str::<T>(text)
+                        .map_err(|e| format!("payload does not deserialize: {e}"))
+                });
+            let hashed = match hasher {
+                Ok(handle) => handle.join().map_err(|_| "payload hash thread failed"),
+                Err(_) => Ok(hash_matches()),
+            };
+            (hashed, parsed)
+        });
+        match (hashed, parsed) {
+            (Err(why), _) => self.reject(key, why),
+            (Ok(false), _) => self.reject(key, HASH_MISMATCH),
+            (Ok(true), Err(why)) => self.reject(key, &why),
+            (Ok(true), Ok(value)) => {
+                self.bump(|s| s.hits += 1);
+                Some(value)
             }
         }
     }
@@ -512,6 +538,69 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(store.load_bytes(&key()).is_none());
         assert_eq!(store.stats().corrupt, 1);
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    fn counts(store: &Store) -> (usize, usize, usize) {
+        let s = store.stats();
+        (s.hits, s.misses, s.corrupt)
+    }
+
+    /// Saves `value` under `key()`, then rewrites the last occurrence of
+    /// `from` in its file as `to` — a payload edit that leaves the header
+    /// (and its recorded hash) untouched.
+    fn save_and_edit(store: &Store, value: &[f64], from: &[u8], to: &[u8]) {
+        store.save(&key(), &value.to_vec()).unwrap();
+        let path = store.artifact_path(&key());
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes
+            .windows(from.len())
+            .rposition(|w| w == from)
+            .expect("the payload contains the edited text");
+        bytes.splice(at..at + from.len(), to.iter().copied());
+        fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn clean_load_counts_exactly_one_hit() {
+        let store = temp_store("clean_load");
+        store.save(&key(), &vec![1.5f64, 2.25]).unwrap();
+        assert_eq!(store.load::<Vec<f64>>(&key()), Some(vec![1.5, 2.25]));
+        assert_eq!(counts(&store), (1, 0, 0));
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn flipped_digit_that_still_parses_is_a_corrupt_miss() {
+        let store = temp_store("flipped_digit");
+        // "1.5" → "1.7": valid JSON, a valid Vec<f64>, the wrong hash.
+        save_and_edit(&store, &[1.5, 2.25], b"1.5", b"1.7");
+        assert_eq!(store.load::<Vec<f64>>(&key()), None);
+        assert_eq!(counts(&store), (0, 1, 1));
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn hash_mismatched_invalid_json_is_counted_corrupt_once() {
+        let store = temp_store("mismatch_and_invalid");
+        save_and_edit(&store, &[1.5, 2.25], b"]", b"}");
+        assert_eq!(store.load::<Vec<f64>>(&key()), None);
+        assert_eq!(counts(&store), (0, 1, 1));
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn intact_payload_of_the_wrong_type_is_a_corrupt_miss() {
+        let store = temp_store("wrong_type");
+        store.save(&key(), &"not a vector".to_string()).unwrap();
+        assert_eq!(store.load::<Vec<f64>>(&key()), None);
+        assert_eq!(counts(&store), (0, 1, 1));
+        // The same file is a hit for the type it holds.
+        assert_eq!(
+            store.load::<String>(&key()).as_deref(),
+            Some("not a vector")
+        );
+        assert_eq!(counts(&store), (1, 1, 1));
         fs::remove_dir_all(store.root()).ok();
     }
 
