@@ -21,7 +21,9 @@
 //! Exits non-zero when any run's probabilities differ from the baseline, so
 //! CI can use it directly as the inference determinism gate. `--min-speedup
 //! S:T` gates the *fused* path's thread scaling: the batch concatenates
-//! enough nodes to clear [`pnp_tensor::PAR_MIN_ROWS`], so row-parallel
+//! enough nodes that its node-row products and the larger relations'
+//! source-row products clear [`pnp_tensor::PAR_MIN_ROWS`] (the first
+//! layer's distinct `(token, kind)` table does not), so row-parallel
 //! matmul must actually pay off at `T` workers (skipped with a warning on
 //! hosts with fewer than `T` cores). The committee uses freshly seeded
 //! weights — inference cost does not depend on what the weights are, and
@@ -29,8 +31,9 @@
 
 use pnp_bench::{banner, sweep, PerfHarnessOptions, Sample, Trajectory};
 use pnp_benchmarks::full_suite;
-use pnp_gnn::{GraphBatch, ModelConfig, PnPModel};
-use pnp_graph::{EncodedGraph, Vocabulary};
+use pnp_core::TrainSettings;
+use pnp_gnn::{GraphBatch, PnPModel};
+use pnp_graph::EncodedGraph;
 use pnp_tensor::set_matmul_threads;
 use std::time::Instant;
 
@@ -44,22 +47,22 @@ const MIN_BATCH_GRAPHS: usize = 64;
 const HIDDEN_DIM: usize = 32;
 /// RGCN layers per committee model.
 const RGCN_LAYERS: usize = 2;
+/// Width of the committee models' dense classifier layers.
+const FC_HIDDEN: usize = 64;
 
+/// A committee of the model shape the trainer builds
+/// ([`TrainSettings::model_config`]) at the bench's widths, member `i`
+/// seeded with `0xBA7C4 ^ i`.
 fn committee(num_classes: usize) -> Vec<PnPModel> {
+    let settings = TrainSettings {
+        hidden_dim: HIDDEN_DIM,
+        rgcn_layers: RGCN_LAYERS,
+        fc_hidden: FC_HIDDEN,
+        seed: 0xBA7C4,
+        ..TrainSettings::quick()
+    };
     (0..COMMITTEE)
-        .map(|i| {
-            PnPModel::new(ModelConfig {
-                vocab_size: Vocabulary::standard().len(),
-                hidden_dim: HIDDEN_DIM,
-                num_rgcn_layers: RGCN_LAYERS,
-                fc_hidden: 64,
-                num_classes,
-                num_relations: pnp_graph::EdgeFlow::COUNT,
-                num_dynamic_features: 0,
-                dropout: 0.0,
-                seed: 0xBA7C4 + i as u64,
-            })
-        })
+        .map(|i| PnPModel::new(settings.model_config(num_classes, 0, i as u64)))
         .collect()
 }
 
@@ -163,6 +166,7 @@ fn main() {
         .param("batch_nodes", &batch_nodes)
         .param("committee", &models.len())
         .param("hidden_dim", &HIDDEN_DIM)
-        .param("rgcn_layers", &RGCN_LAYERS);
+        .param("rgcn_layers", &RGCN_LAYERS)
+        .param("fc_hidden", &FC_HIDDEN);
     opts.finish(&trajectory);
 }

@@ -269,12 +269,13 @@ fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
 /// like the offline pipelines' single-model blend (which clamps the f32
 /// probability, where this clamps the f64 mean).
 ///
-/// The whole batch runs through every fold model's fused
-/// [`PnPModel::predict_proba_batch`] forward — one tall matmul per relation
-/// per layer instead of one small matmul per graph per model. Per graph the
-/// accumulation order and the argmax are those of the graph alone, so the
-/// class of a graph never depends on what it was batched with
-/// (DESIGN.md §15).
+/// The batch is assembled once, with its [`pnp_gnn::ReadPlan`], and runs
+/// through every fold model's fused [`PnPModel::predict_proba_batch`]
+/// forward. Each model's first layer multiplies one row per distinct
+/// `(token, kind)` pair of the batch, and each relation's weights multiply
+/// only the rows its edges read. Per graph the accumulation order and the
+/// argmax are those of the graph alone, so the class of a graph never
+/// depends on what it was batched with (DESIGN.md §15).
 pub fn committee_predict_batch(
     models: &[PnPModel],
     graphs: &[&EncodedGraph],

@@ -114,7 +114,10 @@ impl TrainSettings {
         settings
     }
 
-    pub(crate) fn model_config(
+    /// The one model shape these settings train: their hidden width, RGCN
+    /// depth and classifier width over the standard vocabulary and the three
+    /// edge relations, without dropout, seeded with `seed ^ seed_offset`.
+    pub fn model_config(
         &self,
         num_classes: usize,
         num_dynamic: usize,
@@ -380,8 +383,9 @@ fn prior_blend_argmax(probs: &[f32], prior: &[f64]) -> usize {
 /// The prior-blended class of each graph through the fused block-diagonal
 /// forward ([`pnp_gnn::GraphBatch`]), bit-identical to predicting each
 /// graph alone (DESIGN.md §15) — so a whole validation fold or evaluation
-/// set costs one tall matmul per relation per layer instead of one small
-/// matmul per region. A single prediction is a batch of one.
+/// set shares one read plan and one forward per model, whose first layer
+/// multiplies each distinct `(token, kind)` row once for all its regions.
+/// A single prediction is a batch of one.
 ///
 /// # Panics
 ///

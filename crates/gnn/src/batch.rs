@@ -7,9 +7,11 @@
 //! a [`GraphBatch`]: `B` graphs concatenated into one block-diagonal graph so
 //! the whole batch runs through one fused forward pass (DESIGN.md §15).
 
+use crate::rgcn::ReadPlan;
 use pnp_graph::EncodedGraph;
 use pnp_tensor::SeededRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a [`GraphBatch`] could not be assembled. Client-facing callers (the
 /// serve path) must get a typed error back, never a panic.
@@ -88,17 +90,21 @@ impl std::error::Error for BatchError {}
 /// `0..i`, token/kind sequences are concatenated in batch order, and the
 /// per-relation edge lists are concatenated graph by graph with the same
 /// shift. No edge crosses a graph boundary, so message passing over the
-/// merged edge lists computes exactly what it would per graph — one big
-/// `nodes × weights` matmul per relation per layer instead of `B` small
-/// ones. `segments` (length `B + 1`) records the node offsets so the
-/// readout can pool each graph separately
+/// merged edge lists computes exactly what it would per graph. The batch
+/// also carries its [`ReadPlan`], built once here and shared by every layer
+/// of every model run over the batch: the distinct `(token, kind)` pairs
+/// that form the first layer's input table, and per relation the distinct
+/// rows its edges read. Each RGCN layer multiplies only those rows, so
+/// the batch's products are as tall as its distinct reads, not `B` times
+/// a graph's node count. `segments` (length `B + 1`) records the node
+/// offsets so the readout can pool each graph separately
 /// ([`pnp_tensor::Tensor::segment_mean_rows`]); pooling globally would mix
 /// graphs and break the [bit-identity contract](crate::PnPModel::forward_batch).
 ///
 /// # Examples
 ///
 /// ```
-/// use pnp_gnn::GraphBatch;
+/// use pnp_gnn::{GraphBatch, InputRows};
 /// use pnp_graph::EncodedGraph;
 ///
 /// let a = EncodedGraph {
@@ -122,6 +128,11 @@ impl std::error::Error for BatchError {}
 /// // b's edges are shifted by a's 3 nodes; a's are untouched.
 /// assert_eq!(batch.relations()[0], vec![(0, 1), (1, 2), (4, 3)]);
 /// assert_eq!(batch.relations()[1], vec![(3, 4)]);
+/// // The five nodes hold five distinct (token, kind) pairs.
+/// assert_eq!(batch.plan().pair_tokens(), &[0, 1, 2, 3, 4]);
+/// // Relation 0 reads sources 0, 1 and 4; relation 1 reads only node 3.
+/// assert_eq!(batch.plan().source_rows(0, InputRows::Nodes), &[0, 1, 4]);
+/// assert_eq!(batch.plan().source_rows(1, InputRows::Nodes), &[3]);
 ///
 /// // An empty batch is a typed error, not a panic.
 /// assert!(GraphBatch::from_graphs(&[]).is_err());
@@ -130,7 +141,7 @@ impl std::error::Error for BatchError {}
 pub struct GraphBatch {
     tokens: Vec<usize>,
     kinds: Vec<usize>,
-    relations: Vec<Vec<(usize, usize)>>,
+    plan: Arc<ReadPlan>,
     segments: Vec<usize>,
 }
 
@@ -190,9 +201,9 @@ impl GraphBatch {
         }
 
         Ok(GraphBatch {
+            plan: Arc::new(ReadPlan::new(&tokens, &kinds, relations)),
             tokens,
             kinds,
-            relations,
             segments,
         })
     }
@@ -225,7 +236,12 @@ impl GraphBatch {
 
     /// Merged per-relation edge lists with batch-global node ids.
     pub fn relations(&self) -> &[Vec<(usize, usize)>] {
-        &self.relations
+        self.plan.relations()
+    }
+
+    /// The rows the RGCN layers read over this batch.
+    pub fn plan(&self) -> &Arc<ReadPlan> {
+        &self.plan
     }
 
     /// Graph boundaries as `len() + 1` ascending node offsets; graph `i`

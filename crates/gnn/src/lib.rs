@@ -38,9 +38,12 @@
 //! merged into one block-diagonal graph (concatenated node features, edge
 //! lists shifted by per-graph node offsets) and
 //! [`PnPModel::forward_batch`] runs the whole batch through one fused
-//! forward — one tall matmul per relation per layer instead of one small
-//! matmul per graph, which is exactly the regime where the row-parallel
-//! matmul above starts to win. Because no edge crosses a graph boundary and
+//! forward. The batch's [`ReadPlan`] is built once: each RGCN layer
+//! multiplies only the rows it reads ([`RgcnLayer::forward`]), the first
+//! layer one row per distinct `(token, kind)` pair of the whole batch, so
+//! fusing graphs shares that work and leaves each relation's products as
+//! tall as its distinct edge sources — where the row-parallel matmul
+//! above can engage. Because no edge crosses a graph boundary and
 //! the readout pools per segment, every batched output row is bit-identical
 //! to the single-graph path (DESIGN.md §15) — batching, like threading, is
 //! a scheduling decision, never a numerical one. Single-graph prediction is
@@ -49,6 +52,8 @@
 //! backward caches.
 
 pub mod batch;
+#[cfg(test)]
+mod forward_properties;
 pub mod metrics;
 pub mod model;
 pub mod readout;
@@ -58,5 +63,5 @@ pub mod train;
 pub use batch::{BatchError, GraphBatch, Minibatcher};
 pub use model::{ModelConfig, PnPModel};
 pub use readout::MeanReadout;
-pub use rgcn::RgcnLayer;
+pub use rgcn::{InputRows, ReadPlan, RgcnLayer};
 pub use train::{TrainConfig, TrainReport, Trainer, TrainingSample};

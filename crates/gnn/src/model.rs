@@ -2,7 +2,7 @@
 
 use crate::batch::GraphBatch;
 use crate::readout::MeanReadout;
-use crate::rgcn::RgcnLayer;
+use crate::rgcn::{InputRows, RgcnLayer};
 use pnp_graph::EncodedGraph;
 use pnp_tensor::{
     softmax_rows, Dropout, Embedding, Layer, LeakyReLU, Linear, Parameter, ParameterBundle, ReLU,
@@ -144,7 +144,8 @@ impl PnPModel {
     /// logits.
     ///
     /// With `train` set this is the training forward: every layer records
-    /// its backward cache and dropout samples a mask. Without it, the graph
+    /// its backward cache and dropout samples a mask, and the RGCN layers
+    /// run their one forward body over node rows. Without it, the graph
     /// runs through [`PnPModel::forward_batch`] as a batch of one — the one
     /// inference body (DESIGN.md §15).
     ///
@@ -162,19 +163,18 @@ impl PnPModel {
         if !train {
             return self.forward_one(graph, dynamic_features);
         }
-        assert!(
-            graph.num_nodes() > 0,
-            "cannot run the model on an empty graph"
-        );
-        let tok = self.token_embedding.lookup_train(&graph.tokens);
-        let kind = self.kind_embedding.lookup_train(&graph.kinds);
+        // A batch of one for its read plan; every node row is kept, because
+        // backward needs the full input of each layer.
+        let batch = one_graph(graph);
+        let tok = self.token_embedding.lookup_train(batch.tokens());
+        let kind = self.kind_embedding.lookup_train(batch.kinds());
         let mut h = tok.add(&kind);
         for (layer, act) in self
             .rgcn_layers
             .iter_mut()
             .zip(self.rgcn_activations.iter_mut())
         {
-            h = act.forward_train(&layer.forward_train(&h, &graph.relations));
+            h = act.forward_train(&layer.forward_train(&h, batch.plan()));
         }
         let pooled = self.readout.forward_train(&h);
         self.head_forward(&pooled, dynamic_features)
@@ -221,10 +221,10 @@ impl PnPModel {
             let dyn_row = Tensor::from_vec(dyn_feats.to_vec(), &[1, dyn_feats.len()]);
             pooled.concat_cols(&dyn_row)
         };
-        for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward_train(&x);
-            if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward_train(&x);
+        for (i, fc) in self.fc_layers.iter_mut().enumerate() {
+            x = fc.forward_train(&x);
+            if let Some(act) = self.fc_activations.get_mut(i) {
+                x = act.forward_train(&x);
             }
         }
         x
@@ -242,11 +242,11 @@ impl PnPModel {
     /// input (pooled features plus dynamic-feature columns).
     fn dense_backward(&mut self, grad_logits: &Tensor) -> Tensor {
         let mut d = grad_logits.clone();
-        for i in (0..self.fc_layers.len()).rev() {
-            if i < self.fc_activations.len() {
-                d = self.fc_activations[i].backward(&d);
+        for (i, fc) in self.fc_layers.iter_mut().enumerate().rev() {
+            if let Some(act) = self.fc_activations.get_mut(i) {
+                d = act.backward(&d);
             }
-            d = self.fc_layers[i].backward(&d);
+            d = fc.backward(&d);
         }
         d
     }
@@ -282,13 +282,19 @@ impl PnPModel {
     /// Embeddings → RGCN stack → per-segment readout over a block-diagonal
     /// batch: one pooled `(1 x hidden_dim)` row per graph.
     fn pooled_batch(&self, batch: &GraphBatch) -> Tensor {
-        // Node features for the whole batch: one concatenated lookup.
-        let tok = self.token_embedding.lookup(batch.tokens());
-        let kind = self.kind_embedding.lookup(batch.kinds());
+        let plan = batch.plan();
+        // A node's input row is fixed by its (token, kind) pair, so the
+        // first layer's table holds one row per distinct pair.
+        let tok = self.token_embedding.lookup(plan.pair_tokens());
+        let kind = self.kind_embedding.lookup(plan.pair_kinds());
         let mut h = tok.add(&kind);
-        // RGCN stack over the merged block-diagonal edge lists.
+        let mut rows = InputRows::Pairs;
         for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
-            h = act.forward(&layer.forward(&h, batch.relations()));
+            h = act.forward(&layer.forward(&h, rows, plan));
+            rows = InputRows::Nodes;
+        }
+        if rows == InputRows::Pairs {
+            h = h.select_rows(plan.node_pairs());
         }
         self.readout.forward_segments(&h, batch.segments())
     }
@@ -302,9 +308,12 @@ impl PnPModel {
     /// The batch's merged edge lists have no cross-graph edges and the
     /// readout pools per segment, so every per-node and per-graph value is
     /// computed by exactly the per-row/per-edge operation sequence of a
-    /// graph alone — the batch just makes each matmul `B` times taller,
-    /// which is the regime where the row-parallel `pnp_tensor` matmul
-    /// (`PNP_MATMUL_THREADS`) pays off.
+    /// graph alone. The batch's [`crate::ReadPlan`] is built once and shared
+    /// by every layer: the first layer multiplies one row per distinct
+    /// `(token, kind)` pair of the whole batch, and every layer multiplies
+    /// each relation's weights only over the rows its edges read. Products
+    /// that reach [`pnp_tensor::PAR_MIN_ROWS`] rows take the row-parallel
+    /// `pnp_tensor` matmul (`PNP_MATMUL_THREADS`).
     ///
     /// `dynamic_features`, when present, must hold one row of
     /// `config.num_dynamic_features` values per graph, in batch order.
@@ -340,9 +349,13 @@ impl PnPModel {
             ),
         }
 
-        // Per-segment readout (+ identity dropout) and optional dynamic
-        // features, one row per graph.
-        let pooled = self.dropout.forward(&self.pooled_batch(batch));
+        self.head_batch(&self.pooled_batch(batch), dynamic_features)
+    }
+
+    /// Identity dropout, the optional dynamic features and the dense
+    /// classifier over pooled rows, one row per graph.
+    fn head_batch(&self, pooled: &Tensor, dynamic_features: Option<&[Vec<f32>]>) -> Tensor {
+        let pooled = self.dropout.forward(pooled);
         let mut x = match dynamic_features {
             Some(rows) if self.config.num_dynamic_features > 0 => {
                 let dyn_rows = Tensor::from_rows(rows);
@@ -350,12 +363,10 @@ impl PnPModel {
             }
             _ => pooled,
         };
-
-        // Dense classifier.
-        for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x);
-            if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x);
+        for (i, fc) in self.fc_layers.iter().enumerate() {
+            x = fc.forward(&x);
+            if let Some(act) = self.fc_activations.get(i) {
+                x = act.forward(&x);
             }
         }
         x
@@ -510,6 +521,70 @@ impl PnPModel {
     pub fn load_gnn_weights(&mut self, bundle: &ParameterBundle) -> usize {
         let mut params = self.parameters();
         bundle.restore(&mut params)
+    }
+}
+
+/// The model over the all-rows RGCN body (`RgcnLayer::forward_all_rows`):
+/// the bit-identity reference of `crate::forward_properties`.
+#[cfg(test)]
+impl PnPModel {
+    pub(crate) fn forward_batch_all_rows(
+        &self,
+        batch: &GraphBatch,
+        dynamic_features: Option<&[Vec<f32>]>,
+    ) -> Tensor {
+        let tok = self.token_embedding.lookup(batch.tokens());
+        let kind = self.kind_embedding.lookup(batch.kinds());
+        let mut h = tok.add(&kind);
+        for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
+            h = act.forward(&layer.forward_all_rows(&h, batch.relations()));
+        }
+        let pooled = self.readout.forward_segments(&h, batch.segments());
+        self.head_batch(&pooled, dynamic_features)
+    }
+
+    pub(crate) fn forward_train_all_rows(
+        &mut self,
+        graph: &EncodedGraph,
+        dynamic_features: Option<&[f32]>,
+    ) -> Tensor {
+        let tok = self.token_embedding.lookup_train(&graph.tokens);
+        let kind = self.kind_embedding.lookup_train(&graph.kinds);
+        let mut h = tok.add(&kind);
+        for (layer, act) in self
+            .rgcn_layers
+            .iter_mut()
+            .zip(self.rgcn_activations.iter_mut())
+        {
+            h = act.forward_train(&layer.forward_train_all_rows(&h, &graph.relations));
+        }
+        let pooled = self.readout.forward_train(&h);
+        self.head_forward(&pooled, dynamic_features)
+    }
+
+    pub(crate) fn backward_all_rows(&mut self, grad_logits: &Tensor) {
+        let d = self.dense_backward(grad_logits);
+        let hidden = self.config.hidden_dim;
+        let d_pooled = if self.config.num_dynamic_features > 0 {
+            let mut trimmed = Tensor::zeros(&[1, hidden]);
+            trimmed.set_row(0, &d.row(0)[..hidden]);
+            trimmed
+        } else {
+            d
+        };
+        let d_pooled = self.dropout.backward(&d_pooled);
+        let mut dh = self.readout.backward(&d_pooled);
+        for (layer, act) in self
+            .rgcn_layers
+            .iter_mut()
+            .zip(self.rgcn_activations.iter_mut())
+            .rev()
+        {
+            let dz = act.backward(&dh);
+            dh = layer.backward_all_rows(&dz);
+        }
+        self.token_embedding.backward_ids(&dh);
+        self.kind_embedding.backward_ids(&dh);
     }
 }
 

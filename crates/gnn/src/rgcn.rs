@@ -11,9 +11,200 @@
 //! `c_{i,r} = |N_r(i)|` is the normalization constant. Relation-specific
 //! weights are what distinguish the RGCN from a plain GCN — the ablation
 //! benches compare both.
+//!
+//! ## Only the rows that get read
+//!
+//! A [`ReadPlan`], built once per [`crate::GraphBatch`], records which input
+//! rows the layer reads. [`RgcnLayer::forward`] computes `x · W_0` once per
+//! row of its input table and `x · W_r` only for the rows that relation
+//! `r`'s edges read as sources. The first layer's table holds one row per
+//! distinct `(token, kind)` pair rather than one per node, because that pair
+//! fixes a node's embedded input. Each computed row is the same sequence of
+//! float operations as the all-rows product, and the scatter walks the edges
+//! in the same order, so every output bit is unchanged (DESIGN.md §15).
 
 use pnp_tensor::init::{kaiming_normal, SeededRng};
 use pnp_tensor::{Parameter, Tensor};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// What one row of an RGCN layer's input table stands for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InputRows {
+    /// One row per node: every training layer and inference layers ≥ 1.
+    Nodes,
+    /// One row per distinct `(token, kind)` pair of the plan
+    /// ([`ReadPlan::pair_tokens`] / [`ReadPlan::pair_kinds`]): the embedded
+    /// input of the first inference layer.
+    Pairs,
+}
+
+/// Dedups `(token, kind)` pairs in first-seen order. Returns the distinct
+/// pairs and, per input pair, its position among them.
+fn distinct_pairs(
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let mut slot_of = HashMap::new();
+    let mut distinct = Vec::new();
+    let slots = pairs
+        .map(|pair| {
+            *slot_of.entry(pair).or_insert_with(|| {
+                distinct.push(pair);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, slots)
+}
+
+/// The distinct input rows one relation's edges read as sources.
+#[derive(Clone, Debug)]
+struct SourceRows {
+    /// Distinct source rows of the input table, in first-seen edge order.
+    rows: Vec<usize>,
+    /// Per edge, in edge order: its source's position in `rows`.
+    slots: Vec<usize>,
+}
+
+impl SourceRows {
+    /// Dedups the edge sources `rows` (each below `table_rows`) in
+    /// first-seen order.
+    fn collect(rows: impl Iterator<Item = usize>, table_rows: usize) -> SourceRows {
+        let mut slot_of = vec![usize::MAX; table_rows];
+        let mut distinct = Vec::new();
+        let slots = rows
+            .map(|row| {
+                let slot = &mut slot_of[row];
+                if *slot == usize::MAX {
+                    *slot = distinct.len();
+                    distinct.push(row);
+                }
+                *slot
+            })
+            .collect();
+        SourceRows {
+            rows: distinct,
+            slots,
+        }
+    }
+}
+
+/// What one relation reads, in both input-table layouts.
+#[derive(Clone, Debug)]
+struct RelationReads {
+    /// Per edge, in edge order: `1 / in_degree(dst)`, the `1 / c_{i,r}` of
+    /// the module docs.
+    norms: Vec<f32>,
+    /// Sources as node rows.
+    nodes: SourceRows,
+    /// Sources as distinct-pair rows.
+    pairs: SourceRows,
+}
+
+impl RelationReads {
+    fn sources(&self, rows: InputRows) -> &SourceRows {
+        match rows {
+            InputRows::Nodes => &self.nodes,
+            InputRows::Pairs => &self.pairs,
+        }
+    }
+}
+
+/// Which input rows an RGCN forward reads, for one batch of graphs. Built
+/// once by [`crate::GraphBatch::from_graphs`] and shared by every layer of
+/// every model run over that batch.
+#[derive(Clone, Debug)]
+pub struct ReadPlan {
+    relations: Vec<Vec<(usize, usize)>>,
+    reads: Vec<RelationReads>,
+    pair_tokens: Vec<usize>,
+    pair_kinds: Vec<usize>,
+    node_pairs: Vec<usize>,
+}
+
+impl ReadPlan {
+    /// Plans the reads of a graph with per-node `tokens` and `kinds` and
+    /// per-relation `(src, dst)` edge lists whose endpoints are node ids
+    /// below `tokens.len()`.
+    pub(crate) fn new(
+        tokens: &[usize],
+        kinds: &[usize],
+        relations: Vec<Vec<(usize, usize)>>,
+    ) -> ReadPlan {
+        assert_eq!(tokens.len(), kinds.len(), "one kind per token");
+        let (pairs, node_pairs) = distinct_pairs(tokens.iter().copied().zip(kinds.iter().copied()));
+        let (pair_tokens, pair_kinds): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+        let reads = relations
+            .iter()
+            .map(|edges| {
+                let mut in_degree = vec![0usize; tokens.len()];
+                for &(_, d) in edges {
+                    in_degree[d] += 1;
+                }
+                // Exactly `1 / deg as f32`, the all-rows reference's norm.
+                let norms = edges
+                    .iter()
+                    .map(|&(_, d)| 1.0 / in_degree[d] as f32)
+                    .collect();
+                let nodes = SourceRows::collect(edges.iter().map(|&(s, _)| s), tokens.len());
+                let pairs = SourceRows::collect(
+                    edges.iter().map(|&(s, _)| node_pairs[s]),
+                    pair_tokens.len(),
+                );
+                RelationReads {
+                    norms,
+                    nodes,
+                    pairs,
+                }
+            })
+            .collect();
+        ReadPlan {
+            relations,
+            reads,
+            pair_tokens,
+            pair_kinds,
+            node_pairs,
+        }
+    }
+
+    /// Per-relation `(src, dst)` edge lists over node ids.
+    pub fn relations(&self) -> &[Vec<(usize, usize)>] {
+        &self.relations
+    }
+
+    /// Token id of each distinct `(token, kind)` pair, in first-seen node
+    /// order.
+    pub fn pair_tokens(&self) -> &[usize] {
+        &self.pair_tokens
+    }
+
+    /// Kind index of each distinct `(token, kind)` pair, in first-seen node
+    /// order.
+    pub fn pair_kinds(&self) -> &[usize] {
+        &self.pair_kinds
+    }
+
+    /// Each node's row in the pair table.
+    pub fn node_pairs(&self) -> &[usize] {
+        &self.node_pairs
+    }
+
+    /// Row count of an input table of the given layout.
+    pub fn table_rows(&self, rows: InputRows) -> usize {
+        match rows {
+            InputRows::Nodes => self.node_pairs.len(),
+            InputRows::Pairs => self.pair_tokens.len(),
+        }
+    }
+
+    /// The distinct rows of an input table of the given layout that
+    /// relation `relation` reads as edge sources, in first-seen edge order.
+    pub fn source_rows(&self, relation: usize, rows: InputRows) -> &[usize] {
+        self.reads
+            .get(relation)
+            .map_or(&[], |reads| &reads.sources(rows).rows)
+    }
+}
 
 /// One RGCN layer with per-relation weights, a self-loop weight, and a bias.
 pub struct RgcnLayer {
@@ -26,9 +217,7 @@ pub struct RgcnLayer {
     /// When false, relation-specific weights are tied to `W_0` (plain-GCN
     /// ablation mode).
     pub relational: bool,
-    cached_input: Option<Tensor>,
-    cached_relations: Option<Vec<Vec<(usize, usize)>>>,
-    cached_inv_deg: Option<Vec<Vec<f32>>>,
+    cached: Option<(Tensor, Arc<ReadPlan>)>,
 }
 
 impl RgcnLayer {
@@ -55,9 +244,7 @@ impl RgcnLayer {
             w_rel,
             bias,
             relational: true,
-            cached_input: None,
-            cached_relations: None,
-            cached_inv_deg: None,
+            cached: None,
         }
     }
 
@@ -76,7 +263,115 @@ impl RgcnLayer {
         self.w_rel.len()
     }
 
-    /// Per-relation inverse in-degree, used as the normalization constant.
+    /// Inference forward over the input table `x` (`plan.table_rows(rows)
+    /// x d_in`), whose rows stand for what `rows` says. Returns the
+    /// `num_nodes x d_out` node features. Writes no state.
+    ///
+    /// The self-loop product is computed once per table row, each relation's
+    /// product only for the table rows its edges read, and the messages are
+    /// scattered relation by relation in edge order.
+    pub fn forward(&self, x: &Tensor, rows: InputRows, plan: &ReadPlan) -> Tensor {
+        assert_eq!(x.cols(), self.d_in(), "RGCN input dimension mismatch");
+        assert_eq!(
+            x.rows(),
+            plan.table_rows(rows),
+            "RGCN input table does not match the plan's {rows:?} rows"
+        );
+        assert_eq!(
+            plan.relations.len(),
+            self.num_relations(),
+            "expected {} relations, got {}",
+            self.num_relations(),
+            plan.relations.len()
+        );
+
+        // Self-loop term plus bias, then spread from pairs to their nodes.
+        let mut self_term = x.matmul(&self.w_self.value);
+        self_term.add_row_broadcast_inplace(&self.bias.value);
+        let mut out = match rows {
+            InputRows::Nodes => self_term,
+            InputRows::Pairs => self_term.select_rows(&plan.node_pairs),
+        };
+
+        // Per-relation message passing with normalized-sum aggregation.
+        for ((edges, reads), w_rel) in plan.relations.iter().zip(&plan.reads).zip(&self.w_rel) {
+            if edges.is_empty() {
+                continue;
+            }
+            let w = if self.relational {
+                &w_rel.value
+            } else {
+                &self.w_self.value
+            };
+            let sources = reads.sources(rows);
+            let messages = x.matmul_rows(&sources.rows, w);
+            for ((&(_, d), &slot), &norm) in edges.iter().zip(&sources.slots).zip(&reads.norms) {
+                out.axpy_row(d, norm, messages.row(slot));
+            }
+        }
+        out
+    }
+
+    /// Training forward over node features `h` (`num_nodes x d_in`): records
+    /// the input and the plan for [`RgcnLayer::backward`], then runs
+    /// [`RgcnLayer::forward`] over node rows.
+    pub fn forward_train(&mut self, h: &Tensor, plan: &Arc<ReadPlan>) -> Tensor {
+        self.cached = Some((h.clone(), Arc::clone(plan)));
+        self.forward(h, InputRows::Nodes, plan)
+    }
+
+    /// Backward pass: accumulates parameter gradients and returns the
+    /// gradient with respect to the input node features.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (h, plan) = self
+            .cached
+            .as_ref()
+            .expect("RgcnLayer::backward before forward_train");
+
+        // Self-loop gradients.
+        self.w_self.grad.add_assign(&h.matmul_at_b(grad_out));
+        self.bias.grad.add_assign(&grad_out.sum_rows());
+        let mut grad_h = grad_out.matmul_a_bt(&self.w_self.value);
+
+        // Relation gradients.
+        for ((edges, reads), w_rel) in plan
+            .relations
+            .iter()
+            .zip(&plan.reads)
+            .zip(self.w_rel.iter_mut())
+        {
+            if edges.is_empty() {
+                continue;
+            }
+            // dMessages[s] += norm(d) * grad_out[d] for each edge (s, d)
+            let mut d_messages = Tensor::zeros(&[h.rows(), grad_out.cols()]);
+            for (&(s, d), &norm) in edges.iter().zip(&reads.norms) {
+                d_messages.axpy_row(s, norm, grad_out.row(d));
+            }
+            let w = if self.relational {
+                w_rel
+            } else {
+                &mut self.w_self
+            };
+            w.grad.add_assign(&h.matmul_at_b(&d_messages));
+            grad_h.add_assign(&d_messages.matmul_a_bt(&w.value));
+        }
+        grad_h
+    }
+
+    /// Mutable access to all parameters of this layer.
+    pub fn parameters(&mut self) -> Vec<&mut Parameter> {
+        let mut ps = vec![&mut self.w_self, &mut self.bias];
+        ps.extend(self.w_rel.iter_mut());
+        ps
+    }
+}
+
+/// The all-rows layer body the plan replaced: every product over every node
+/// row and the inverse degrees recomputed per call. It is the bit-identity
+/// reference of `crate::forward_properties`.
+#[cfg(test)]
+impl RgcnLayer {
     fn inverse_degrees(num_nodes: usize, relations: &[Vec<(usize, usize)>]) -> Vec<Vec<f32>> {
         relations
             .iter()
@@ -92,25 +387,11 @@ impl RgcnLayer {
             .collect()
     }
 
-    /// Inference forward over node features `h` (`num_nodes x d_in`) and
-    /// edges grouped by relation. Writes no state.
-    pub fn forward(&self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
-        assert_eq!(h.cols(), self.d_in(), "RGCN input dimension mismatch");
-        assert_eq!(
-            relations.len(),
-            self.num_relations(),
-            "expected {} relations, got {}",
-            self.num_relations(),
-            relations.len()
-        );
+    pub(crate) fn forward_all_rows(&self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
         let inv_deg = Self::inverse_degrees(h.rows(), relations);
-
-        // Self-loop term plus bias.
         let mut out = h
             .matmul(&self.w_self.value)
             .add_row_broadcast(&self.bias.value);
-
-        // Per-relation message passing with normalized-sum aggregation.
         for (r, edges) in relations.iter().enumerate() {
             if edges.is_empty() {
                 continue;
@@ -122,45 +403,37 @@ impl RgcnLayer {
             };
             let messages = h.matmul(w);
             for &(s, d) in edges {
-                let norm = inv_deg[r][d];
-                out.axpy_row(d, norm, messages.row(s));
+                out.axpy_row(d, inv_deg[r][d], messages.row(s));
             }
         }
         out
     }
 
-    /// Training forward: records the input, edges and normalization for
-    /// [`RgcnLayer::backward`], then runs [`RgcnLayer::forward`].
-    pub fn forward_train(&mut self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
-        self.cached_input = Some(h.clone());
-        self.cached_relations = Some(relations.to_vec());
-        self.cached_inv_deg = Some(Self::inverse_degrees(h.rows(), relations));
-        self.forward(h, relations)
+    /// Training twin of [`RgcnLayer::forward_all_rows`]: records the input
+    /// and the edge lists (in a plan) for [`RgcnLayer::backward_all_rows`].
+    pub(crate) fn forward_train_all_rows(
+        &mut self,
+        h: &Tensor,
+        relations: &[Vec<(usize, usize)>],
+    ) -> Tensor {
+        let out = self.forward_all_rows(h, relations);
+        let plan = ReadPlan::new(&vec![0; h.rows()], &vec![0; h.rows()], relations.to_vec());
+        self.cached = Some((h.clone(), Arc::new(plan)));
+        out
     }
 
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the input node features.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let h = self
-            .cached_input
-            .as_ref()
-            .expect("RgcnLayer::backward before forward_train");
-        let relations = self.cached_relations.as_ref().unwrap();
-        let inv_deg = self.cached_inv_deg.as_ref().unwrap();
-        let num_nodes = h.rows();
-
-        // Self-loop gradients.
+    pub(crate) fn backward_all_rows(&mut self, grad_out: &Tensor) -> Tensor {
+        let (h, plan) = self.cached.clone().expect("backward before forward");
+        let relations = plan.relations();
+        let inv_deg = Self::inverse_degrees(h.rows(), relations);
         self.w_self.grad.add_assign(&h.matmul_at_b(grad_out));
         self.bias.grad.add_assign(&grad_out.sum_rows());
         let mut grad_h = grad_out.matmul_a_bt(&self.w_self.value);
-
-        // Relation gradients.
         for (r, edges) in relations.iter().enumerate() {
             if edges.is_empty() {
                 continue;
             }
-            // dMessages[s] += norm(d) * grad_out[d] for each edge (s, d)
-            let mut d_messages = Tensor::zeros(&[num_nodes, self.d_out()]);
+            let mut d_messages = Tensor::zeros(&[h.rows(), self.d_out()]);
             for &(s, d) in edges {
                 d_messages.axpy_row(s, inv_deg[r][d], grad_out.row(d));
             }
@@ -173,13 +446,6 @@ impl RgcnLayer {
             }
         }
         grad_h
-    }
-
-    /// Mutable access to all parameters of this layer.
-    pub fn parameters(&mut self) -> Vec<&mut Parameter> {
-        let mut ps = vec![&mut self.w_self, &mut self.bias];
-        ps.extend(self.w_rel.iter_mut());
-        ps
     }
 }
 
@@ -194,12 +460,25 @@ mod tests {
         vec![vec![(0, 1), (1, 2), (2, 3)], vec![(3, 0)], vec![]]
     }
 
+    /// A plan over `num_nodes` nodes that all share one `(token, kind)`.
+    fn plan(num_nodes: usize, relations: Vec<Vec<(usize, usize)>>) -> Arc<ReadPlan> {
+        Arc::new(ReadPlan::new(
+            &vec![0; num_nodes],
+            &vec![0; num_nodes],
+            relations,
+        ))
+    }
+
+    fn forward(layer: &RgcnLayer, h: &Tensor, relations: Vec<Vec<(usize, usize)>>) -> Tensor {
+        layer.forward(h, InputRows::Nodes, &plan(h.rows(), relations))
+    }
+
     #[test]
     fn output_shape_is_nodes_by_dout() {
         let mut rng = SeededRng::new(1);
         let layer = RgcnLayer::new("rgcn0", 6, 8, 3, &mut rng);
         let h = Tensor::randn(&[4, 6], &mut rng);
-        let out = layer.forward(&h, &toy_relations());
+        let out = forward(&layer, &h, toy_relations());
         assert_eq!(out.shape, vec![4, 8]);
         assert!(out.all_finite());
     }
@@ -210,8 +489,7 @@ mod tests {
         let layer = RgcnLayer::new("rgcn0", 3, 3, 3, &mut rng);
         let h = Tensor::randn(&[2, 3], &mut rng);
         // No edges at all: output must equal H·W_self + b for every node.
-        let empty = vec![vec![], vec![], vec![]];
-        let out = layer.forward(&h, &empty);
+        let out = forward(&layer, &h, vec![vec![], vec![], vec![]]);
         let expected = h
             .matmul(&layer.w_self.value)
             .add_row_broadcast(&layer.bias.value);
@@ -230,9 +508,49 @@ mod tests {
         layer.bias.value = Tensor::zeros(&[2]);
         // Node 2 receives from nodes 0 and 1; normalized sum = mean of h0, h1.
         let h = Tensor::from_rows(&[vec![2.0, 0.0], vec![4.0, 0.0], vec![0.0, 0.0]]);
-        let rel = vec![vec![(0, 2), (1, 2)]];
-        let out = layer.forward(&h, &rel);
+        let out = forward(&layer, &h, vec![vec![(0, 2), (1, 2)]]);
         assert!((out.get(2, 0) - 3.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn plan_reads_each_distinct_pair_and_source_once() {
+        // Nodes 0 and 2 share (5, 1); node 3 repeats token 5 with kind 0.
+        let plan = ReadPlan::new(
+            &[5, 7, 5, 5],
+            &[1, 0, 1, 0],
+            vec![vec![(2, 1), (0, 1), (2, 3), (2, 3)], vec![], vec![(3, 3)]],
+        );
+        assert_eq!(plan.pair_tokens(), &[5, 7, 5]);
+        assert_eq!(plan.pair_kinds(), &[1, 0, 0]);
+        assert_eq!(plan.node_pairs(), &[0, 1, 0, 2]);
+        assert_eq!(plan.source_rows(0, InputRows::Nodes), &[2, 0]);
+        // Nodes 2 and 0 are one pair row.
+        assert_eq!(plan.source_rows(0, InputRows::Pairs), &[0]);
+        assert!(plan.source_rows(1, InputRows::Nodes).is_empty());
+        assert_eq!(plan.source_rows(2, InputRows::Pairs), &[2]);
+        assert_eq!(plan.reads[0].norms, vec![0.5, 0.5, 0.5, 0.5]);
+        assert_eq!(plan.reads[0].pairs.slots, vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn pair_table_forward_matches_the_node_table_bitwise() {
+        let mut rng = SeededRng::new(7);
+        let layer = RgcnLayer::new("rgcn0", 4, 5, 3, &mut rng);
+        let tokens = [3, 1, 3, 3, 1, 0];
+        let kinds = [0, 2, 0, 1, 2, 0];
+        let plan = ReadPlan::new(
+            &tokens,
+            &kinds,
+            vec![vec![(0, 1), (2, 1), (4, 5), (5, 0)], vec![(1, 1)], vec![]],
+        );
+        let pairs = Tensor::randn(&[plan.table_rows(InputRows::Pairs), 4], &mut rng);
+        let nodes = pairs.select_rows(plan.node_pairs());
+        let from_pairs = layer.forward(&pairs, InputRows::Pairs, &plan);
+        let from_nodes = layer.forward(&nodes, InputRows::Nodes, &plan);
+        let all_rows = layer.forward_all_rows(&nodes, plan.relations());
+        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&from_pairs), bits(&from_nodes));
+        assert_eq!(bits(&from_nodes), bits(&all_rows));
     }
 
     #[test]
@@ -243,7 +561,7 @@ mod tests {
         let rels = toy_relations();
 
         // Objective: sum of outputs.
-        let out = layer.forward_train(&h, &rels);
+        let out = layer.forward_train(&h, &plan(4, rels.clone()));
         let grad_h = layer.backward(&Tensor::ones(&out.shape));
 
         let eps = 1e-2f32;
@@ -251,9 +569,9 @@ mod tests {
         let analytic = layer.w_rel[0].grad.get(0, 0);
         let orig = layer.w_rel[0].value.get(0, 0);
         layer.w_rel[0].value.set(0, 0, orig + eps);
-        let f_plus = layer.forward(&h, &rels).sum();
+        let f_plus = forward(&layer, &h, rels.clone()).sum();
         layer.w_rel[0].value.set(0, 0, orig - eps);
-        let f_minus = layer.forward(&h, &rels).sum();
+        let f_minus = forward(&layer, &h, rels.clone()).sum();
         layer.w_rel[0].value.set(0, 0, orig);
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         assert!(
@@ -265,10 +583,10 @@ mod tests {
         let analytic_h = grad_h.get(1, 2);
         let mut hp = h.clone();
         hp.set(1, 2, hp.get(1, 2) + eps);
-        let f_plus = layer.forward(&hp, &rels).sum();
+        let f_plus = forward(&layer, &hp, rels.clone()).sum();
         let mut hm = h.clone();
         hm.set(1, 2, hm.get(1, 2) - eps);
-        let f_minus = layer.forward(&hm, &rels).sum();
+        let f_minus = forward(&layer, &hm, rels).sum();
         let numeric_h = (f_plus - f_minus) / (2.0 * eps);
         assert!(
             (numeric_h - analytic_h).abs() < 2e-2,
@@ -281,10 +599,9 @@ mod tests {
         let mut rng = SeededRng::new(5);
         let mut layer = RgcnLayer::new("rgcn0", 4, 4, 3, &mut rng);
         let h = Tensor::randn(&[4, 4], &mut rng);
-        let rels = toy_relations();
-        let out_relational = layer.forward(&h, &rels);
+        let out_relational = forward(&layer, &h, toy_relations());
         layer.relational = false;
-        let out_tied = layer.forward(&h, &rels);
+        let out_tied = forward(&layer, &h, toy_relations());
         // With different per-relation weights the outputs must differ.
         let diff: f32 = out_relational
             .data

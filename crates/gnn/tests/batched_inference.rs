@@ -4,8 +4,10 @@
 //! matmul thread count. Not approximately: `f32::to_bits` equal.
 //!
 //! Single-graph inference is itself a batch of one, so the tests also
-//! check every fused row against an independent reference: the
-//! training-path forward of a dropout-free twin model.
+//! check every fused row against the training-path forward of a
+//! dropout-free twin model, which feeds the first layer node rows instead
+//! of the batch's distinct `(token, kind)` rows. The all-rows layer body
+//! the read plan replaced is checked in `src/forward_properties.rs`.
 
 use pnp_gnn::{BatchError, GraphBatch, ModelConfig, PnPModel};
 use pnp_graph::EncodedGraph;
@@ -56,8 +58,8 @@ fn config(num_dynamic: usize, seed: u64) -> ModelConfig {
 /// Class probabilities from the training-path `forward(g, dyn, true)` of a
 /// twin of `config` without dropout. The twin draws the same weights (the
 /// dropout RNG is seeded separately), and dropout-free training forwards
-/// compute what inference computes — through per-graph layer code that
-/// shares no body with the fused forward.
+/// compute what inference computes — one graph at a time, over a node-row
+/// input table instead of the fused pass's pair table.
 fn training_reference(
     config: ModelConfig,
     sum_pool: bool,

@@ -12,9 +12,11 @@
 //! grouped by machine and objective, and the groups fan out over the
 //! in-tree `pnp_openmp` pool via `parallel_map`, each group running as one
 //! fused block-diagonal forward ([`TuneService::tune_batch`], DESIGN.md
-//! §15) — one tall matmul per relation per layer instead of one small
-//! matmul per request. Inference takes `&self`, so every worker reads the same shared
-//! service without a lock, and the fused forward is bit-identical to the
+//! §15): one read plan for the whole group, and each layer multiplies
+//! only the rows its edges read, the first over the group's distinct
+//! `(token, kind)` rows. Inference takes `&self`, so every worker reads
+//! the same shared service without a lock, and the fused forward is
+//! bit-identical to the
 //! single-graph one: the response vector is bit-identical for every worker
 //! count and batch composition — and identical to the offline
 //! [`TuneService::tune`] path (DESIGN.md §14).

@@ -1,28 +1,33 @@
 //! Matrix multiplication kernels.
 //!
 //! The RGCN forward/backward passes are dominated by dense `H · W` products
-//! where `H` is a node-feature matrix (hundreds of rows) and `W` a small
-//! square weight matrix (16–64 columns). A simple ikj-ordered kernel with a
-//! transposed-operand variant is more than fast enough on a single core and
-//! keeps the code dependency-free.
+//! where `H` is a node-feature matrix and `W` a small square weight matrix
+//! (16–64 columns). The inference forward multiplies only the rows some
+//! later step reads: [`Tensor::matmul_rows`] takes a list of source rows
+//! (a relation's distinct edge sources, or the first layer's distinct
+//! `(token, kind)` rows) and runs the same per-row kernel over just those.
+//! A simple ikj-ordered kernel with a transposed-operand variant is more
+//! than fast enough on a single core and keeps the code dependency-free.
 //!
 //! ## Opt-in intra-op parallelism
 //!
-//! The row-parallel kernels ([`Tensor::matmul`], [`Tensor::matmul_a_bt`])
-//! can fan their output-row loop out over the in-tree OpenMP executor
-//! (`pnp_openmp::par`). Each worker computes a contiguous *block of output
-//! rows* with exactly the serial kernel's per-element operation order (the
-//! inner `k` accumulation stays ascending), and blocks are written back by
-//! index — so the product is **bit-identical for every worker count**, the
-//! same guarantee the dataset sweep and LOOCV training fan-outs rely on
-//! (DESIGN.md §9/§10).
+//! The row-parallel kernels ([`Tensor::matmul`], [`Tensor::matmul_rows`],
+//! [`Tensor::matmul_a_bt`]) can fan their output-row loop out over the
+//! in-tree OpenMP executor (`pnp_openmp::par`). Each worker computes a
+//! contiguous *block of output rows* with exactly the serial kernel's
+//! per-element operation order (the inner `k` accumulation stays
+//! ascending), and blocks are written back by index — so the product is
+//! **bit-identical for every worker count**, the same guarantee the
+//! dataset sweep and LOOCV training fan-outs rely on (DESIGN.md §9/§10).
 //!
 //! Parallelism is *opt-in* and defaults to serial: set the
 //! `PNP_MATMUL_THREADS` environment variable (`auto` or a worker count) or
 //! call [`set_matmul_threads`]. It pays off when large-graph RGCN layers
 //! dominate and the outer training fan-out cannot fill the machine on its
 //! own (fold-count < core-count); tiny products below
-//! [`PAR_MIN_ROWS`] rows always take the serial path, as does
+//! [`PAR_MIN_ROWS`] output rows always take the serial path (a gathered
+//! product counts the rows it gathers, so a first RGCN layer over a few
+//! dozen distinct `(token, kind)` rows stays serial), as does
 //! `matmul_at_b` (its output rows are *columns* of the left operand, so the
 //! serial kk-outer streaming order is the cache-friendly one and its outputs
 //! are small weight-gradient matrices).
@@ -117,13 +122,53 @@ impl Tensor {
     /// [`Tensor::matmul`] with an explicit worker count (1 = serial). The
     /// result is bit-identical for every `workers` value.
     pub fn matmul_with_threads(&self, other: &Tensor, workers: usize) -> Tensor {
-        let (m, k) = (self.rows(), self.cols());
-        let (k2, n) = (other.rows(), other.cols());
-        assert_eq!(k, k2, "matmul dimension mismatch: ({m}x{k}) · ({k2}x{n})");
+        self.product_of_rows(self.rows(), |i| self.row(i), other, workers)
+    }
+
+    /// `self.select_rows(rows).matmul(other)` without the copy: output row
+    /// `j` is source row `rows[j]` times `other`, computed by the same
+    /// per-row kernel as [`Tensor::matmul`] and therefore bit-identical to
+    /// row `rows[j]` of `self.matmul(other)`. It is how the RGCN layers
+    /// multiply only the node rows some edge reads. Row-parallel under the
+    /// same knob and [`PAR_MIN_ROWS`] threshold, counted in gathered rows.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree or a row index is out of
+    /// range.
+    pub fn matmul_rows(&self, rows: &[usize], other: &Tensor) -> Tensor {
+        self.matmul_rows_with_threads(rows, other, matmul_threads())
+    }
+
+    /// [`Tensor::matmul_rows`] with an explicit worker count (1 = serial).
+    /// The result is bit-identical for every `workers` value.
+    pub fn matmul_rows_with_threads(
+        &self,
+        rows: &[usize],
+        other: &Tensor,
+        workers: usize,
+    ) -> Tensor {
+        // `j < rows.len()` always: the empty fallback is never taken.
+        let source = |j: usize| rows.get(j).map_or(&[][..], |&r| self.row(r));
+        self.product_of_rows(rows.len(), source, other, workers)
+    }
+
+    /// The one `A · B` kernel: `m` output rows, output row `j` computed from
+    /// the row `source(j)` of `self`.
+    fn product_of_rows<'a, S>(&self, m: usize, source: S, other: &Tensor, workers: usize) -> Tensor
+    where
+        S: Fn(usize) -> &'a [f32] + Sync,
+    {
+        let (k, k2, n) = (self.cols(), other.rows(), other.cols());
+        assert_eq!(
+            k,
+            k2,
+            "matmul dimension mismatch: ({}x{k}) · ({k2}x{n})",
+            self.rows()
+        );
         let mut out = Tensor::zeros(&[m, n]);
         // ikj loop order: streams through `other` rows, good cache behaviour.
-        let fill_row = |i: usize, out_row: &mut [f32]| {
-            let a_row = self.row(i);
+        let fill_row = |j: usize, out_row: &mut [f32]| {
+            let a_row = source(j);
             for (kk, &a_ik) in a_row.iter().enumerate() {
                 if a_ik == 0.0 {
                     continue;
@@ -344,6 +389,34 @@ mod tests {
                 "matmul_a_bt differs from serial at {workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn gathered_rows_are_bit_identical_to_the_full_product() {
+        let mut rng = SeededRng::new(7);
+        let mut a = Tensor::randn(&[PAR_MIN_ROWS + 9, 12], &mut rng);
+        for v in a.data.iter_mut().step_by(5) {
+            *v = 0.0;
+        }
+        let b = Tensor::randn(&[12, 6], &mut rng);
+        let full = a.matmul_with_threads(&b, 1);
+        // Repeats, out-of-order rows, and enough rows for the parallel path.
+        let rows: Vec<usize> = (0..PAR_MIN_ROWS + 20)
+            .map(|j| (j * 37) % a.rows())
+            .collect();
+        for workers in [1usize, 2, 5] {
+            let gathered = a.matmul_rows_with_threads(&rows, &b, workers);
+            assert_eq!(gathered.shape, vec![rows.len(), 6]);
+            for (j, &r) in rows.iter().enumerate() {
+                let same = gathered
+                    .row(j)
+                    .iter()
+                    .zip(full.row(r))
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "row {j} (source {r}) differs at {workers} workers");
+            }
+        }
+        assert_eq!(a.matmul_rows(&[], &b).shape, vec![0, 6]);
     }
 
     #[test]

@@ -82,6 +82,13 @@ impl Tensor {
 
     /// Adds a row vector (bias) to every row of a matrix.
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
+        let mut out = self.clone();
+        out.add_row_broadcast_inplace(bias);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] in place, without the copy.
+    pub fn add_row_broadcast_inplace(&mut self, bias: &Tensor) {
         assert_eq!(
             bias.numel(),
             self.cols(),
@@ -89,13 +96,11 @@ impl Tensor {
             bias.numel(),
             self.cols()
         );
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            for (d, b) in out.row_mut(r).iter_mut().zip(&bias.data) {
+        for r in 0..self.rows() {
+            for (d, b) in self.row_mut(r).iter_mut().zip(&bias.data) {
                 *d += *b;
             }
         }
-        out
     }
 
     /// Sum of every element.
