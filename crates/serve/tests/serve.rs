@@ -476,6 +476,49 @@ fn nesting_bomb_frames_get_typed_errors_and_the_daemon_keeps_answering() {
     let _ = client.request(&Request::Shutdown);
 }
 
+#[test]
+fn nesting_bomb_in_an_unknown_field_gets_an_error_and_the_daemon_keeps_answering() {
+    let engine = start_engine(1);
+    let addr = spawn_server(engine, roomy_config(8));
+    let fx = fixture();
+    let request = Request::Tune(TuneRequest {
+        id: 12,
+        machine: "haswell".into(),
+        objective: TuneObjective::Edp,
+        deadline_ms: None,
+        kernel: KernelInput::Graph(fx.ds.regions[0].graph.clone()),
+    });
+    let json = serde_json::to_string(&request).expect("request serializes");
+    // A valid tune request plus one key the request type does not have,
+    // holding 100k balanced arrays: the typed read skips unknown keys, and
+    // the skip must still stop at the depth limit.
+    let field = "{\"Tune\":{";
+    assert!(json.starts_with(field), "{json}");
+    let depth = 100_000;
+    let frame = format!(
+        "{field}\"zz\":{}{},{}",
+        "[".repeat(depth),
+        "]".repeat(depth),
+        &json[field.len()..]
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, frame.as_bytes()).expect("send bomb");
+    let reply: Response = read_message(&mut stream)
+        .expect("a well-formed reply")
+        .expect("a reply before the connection closes");
+    let Response::Error { message } = reply else {
+        panic!("a hidden nesting bomb must answer Error, got {reply:?}");
+    };
+    assert!(message.contains("nesting too deep"), "{message}");
+    // The same daemon still answers on a fresh connection.
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Ok
+    ));
+    let _ = client.request(&Request::Shutdown);
+}
+
 /// A clock that jumps 100 fake milliseconds on every reading, making
 /// queue-wait "time" deterministic: any request observed by the dispatcher
 /// after admission has aged at least 100 ms, while the whole test spans
