@@ -20,7 +20,7 @@
 use crate::dataset::Dataset;
 pub use crate::training::{GridPipeline, TuneObjective};
 use crate::training::{TrainSettings, TrainedGrid};
-use pnp_gnn::{BatchError, GraphBatch, PnPModel};
+use pnp_gnn::{BatchError, GraphBatch, PnPModel, Workspace};
 use pnp_graph::{build_region_graph, EdgeFlow, EncodedGraph, Vocabulary};
 use pnp_ir::{try_lower_kernel, RegionSource};
 use pnp_tuners::{ConfigPoint, SearchSpace};
@@ -270,10 +270,12 @@ fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
 /// probability, where this clamps the f64 mean).
 ///
 /// The batch is assembled once, with its [`pnp_gnn::ReadPlan`], and runs
-/// through every fold model's fused [`PnPModel::predict_proba_batch`]
-/// forward. Each model's first layer multiplies one row per distinct
-/// `(token, kind)` pair of the batch, and each relation's weights multiply
-/// only the rows its edges read. Per graph the accumulation order and the
+/// through every fold model's fused [`PnPModel::predict_proba_with`]
+/// forward, all over one [`Workspace`] whose node tables the call
+/// allocates once and drops on return. Each model's first layer multiplies
+/// one row per distinct `(token, kind)` pair of the batch, and each
+/// relation's weights multiply only the rows its edges read; the sums read
+/// each probability row in place. Per graph the accumulation order and the
 /// argmax are those of the graph alone, so the class of a graph never
 /// depends on what it was batched with (DESIGN.md §15).
 pub fn committee_predict_batch(
@@ -282,11 +284,12 @@ pub fn committee_predict_batch(
     prior: &[f64],
 ) -> Result<Vec<usize>, BatchError> {
     let batch = GraphBatch::from_graphs(graphs)?;
+    let mut workspace = Workspace::new();
     let mut sums = vec![vec![0.0f64; prior.len()]; graphs.len()];
     for model in models {
-        let probs = model.predict_proba_batch(&batch, None);
-        for (sum, row) in sums.iter_mut().zip(&probs) {
-            for (s, &p) in sum.iter_mut().zip(row) {
+        let probs = model.predict_proba_with(&batch, None, &mut workspace);
+        for (r, sum) in sums.iter_mut().enumerate() {
+            for (s, &p) in sum.iter_mut().zip(probs.row(r)) {
                 *s += p as f64;
             }
         }

@@ -546,10 +546,10 @@ impl GridPipeline {
         settings.model_config(num_classes, num_dynamic, seed_offset as u64)
     }
 
-    /// The fit check: restores job `at`'s checkpoint into a freshly seeded
-    /// model, or says why it does not fit (tensor count, names or shapes —
-    /// possible only when code drifted under an unchanged store schema).
-    /// Warm replay retrains an unfit job; the serve path skips its grid.
+    /// The fit check: builds job `at`'s model from its checkpoint, or says
+    /// why it does not fit (tensor count, names or shapes — possible only
+    /// when code drifted under an unchanged store schema). Warm replay
+    /// retrains an unfit job; the serve path skips its grid.
     pub(crate) fn restore(
         &self,
         ds: &Dataset,
@@ -557,20 +557,18 @@ impl GridPipeline {
         at: (usize, usize),
         checkpoint: &ParameterBundle,
     ) -> Result<PnPModel, String> {
-        let mut model = PnPModel::new(self.model_config(ds, settings, at));
-        let restored = model.load_all_weights(checkpoint);
-        if restored == model.num_parameters() && checkpoint.len() == restored {
-            return Ok(model);
-        }
-        Err(format!(
-            "{} checkpoint for job (fold {}, power {}) does not fit: \
-             {restored}/{} tensors restored, {} stored",
-            self.name(),
-            at.0,
-            at.1,
-            model.num_parameters(),
-            checkpoint.len()
-        ))
+        PnPModel::from_checkpoint(self.model_config(ds, settings, at), checkpoint).map_err(|fit| {
+            format!(
+                "{} checkpoint for job (fold {}, power {}) does not fit: \
+                 {}/{} tensors restored, {} stored",
+                self.name(),
+                at.0,
+                at.1,
+                fit.restored,
+                fit.expected,
+                fit.stored
+            )
+        })
     }
 }
 

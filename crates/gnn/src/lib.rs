@@ -49,7 +49,10 @@
 //! a scheduling decision, never a numerical one. Single-graph prediction is
 //! itself a batch of one, and inference takes `&self` throughout, so one
 //! model can serve many threads; only the training forward writes the
-//! backward caches.
+//! backward caches. The node tables an inference forward writes live in a
+//! [`Workspace`] the caller makes per call
+//! ([`PnPModel::predict_proba_with`]); a committee lends one to all its
+//! models, so a call allocates its tables once.
 
 pub mod batch;
 #[cfg(test)]
@@ -61,7 +64,7 @@ pub mod rgcn;
 pub mod train;
 
 pub use batch::{BatchError, GraphBatch, Minibatcher};
-pub use model::{ModelConfig, PnPModel};
+pub use model::{CheckpointMismatch, ModelConfig, PnPModel, Workspace};
 pub use readout::MeanReadout;
 pub use rgcn::{InputRows, ReadPlan, RgcnLayer};
 pub use train::{TrainConfig, TrainReport, Trainer, TrainingSample};

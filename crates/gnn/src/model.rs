@@ -4,9 +4,10 @@ use crate::batch::GraphBatch;
 use crate::readout::MeanReadout;
 use crate::rgcn::{InputRows, RgcnLayer};
 use pnp_graph::EncodedGraph;
+use pnp_tensor::init::kaiming_normal;
 use pnp_tensor::{
-    softmax_rows, Dropout, Embedding, Layer, LeakyReLU, Linear, Parameter, ParameterBundle, ReLU,
-    SeededRng, Tensor,
+    softmax_rows, softmax_rows_inplace, Dropout, Embedding, Layer, LeakyReLU, Linear, Parameter,
+    ParameterBundle, ReLU, SeededRng, Tensor,
 };
 
 /// Hyperparameters of the PnP model (defaults follow Table II of the paper,
@@ -61,6 +62,38 @@ fn one_graph(graph: &EncodedGraph) -> GraphBatch {
     GraphBatch::from_graphs(&[graph]).expect("cannot run the model on this graph")
 }
 
+/// The node tables of inference forwards, lent to every RGCN layer of a
+/// forward and to every model of a committee, so a call allocates its
+/// `num_nodes x hidden_dim` tables once instead of once per layer and
+/// model. Make one per call and drop it after: it holds no results, only
+/// allocations sized by the largest batch it has seen.
+pub struct Workspace {
+    /// The node table a layer reads.
+    input: Tensor,
+    /// The node table a layer writes.
+    output: Tensor,
+    /// Layer 0's per-pair self term, then each relation's messages.
+    scratch: Tensor,
+}
+
+impl Workspace {
+    /// An empty workspace; its tables grow on first use.
+    pub fn new() -> Self {
+        let empty = || Tensor::zeros(&[0, 0]);
+        Workspace {
+            input: empty(),
+            output: empty(),
+            scratch: empty(),
+        }
+    }
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The PnP tuner model.
 pub struct PnPModel {
     /// Configuration the model was built with.
@@ -81,36 +114,135 @@ const _: fn() = || {
     shared::<PnPModel>();
 };
 
+/// How a fresh model initializes a parameter.
+#[derive(Clone, Copy)]
+enum Init {
+    /// `N(0, 0.1)`, the embedding tables.
+    Embedding,
+    /// Kaiming-normal over the first dimension as fan-in.
+    Kaiming,
+    /// Zeros, the biases.
+    Zeros,
+}
+
+/// A checkpoint that does not fit a model configuration: some parameter is
+/// missing or has another shape, or the checkpoint holds extra tensors.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckpointMismatch {
+    /// Parameters found in the checkpoint by name and shape.
+    pub restored: usize,
+    /// Parameters the configuration has.
+    pub expected: usize,
+    /// Tensors the checkpoint holds.
+    pub stored: usize,
+}
+
 impl PnPModel {
     /// Builds a model from a configuration.
     pub fn new(config: ModelConfig) -> Self {
         let mut rng = SeededRng::new(config.seed);
-        let mut token_embedding = Embedding::new(config.vocab_size, config.hidden_dim, &mut rng);
-        token_embedding.table.name = "embed.token".into();
-        let mut kind_embedding = Embedding::new(3, config.hidden_dim, &mut rng);
-        kind_embedding.table.name = "embed.kind".into();
+        Self::assemble(config, |_, shape, init| match init {
+            Init::Embedding => {
+                let mut t = Tensor::randn(shape, &mut rng);
+                t.scale_inplace(0.1);
+                t
+            }
+            // Every Kaiming-initialized parameter is a matrix.
+            Init::Kaiming => match *shape {
+                [fan_in, fan_out] => kaiming_normal(fan_in, fan_out, &mut rng),
+                _ => Tensor::zeros(shape),
+            },
+            Init::Zeros => Tensor::zeros(shape),
+        })
+    }
+
+    /// Builds a model of `config` whose every parameter comes from
+    /// `checkpoint` (a [`PnPModel::all_weights`] bundle), without drawing
+    /// the seeded initialization a restore would overwrite. The checkpoint
+    /// must fit exactly: every parameter present by name and shape, and no
+    /// other tensor stored.
+    pub fn from_checkpoint(
+        config: ModelConfig,
+        checkpoint: &ParameterBundle,
+    ) -> Result<Self, CheckpointMismatch> {
+        let mut restored = 0;
+        let mut model = Self::assemble(config, |name, shape, _| {
+            match checkpoint.tensors.get(name) {
+                Some(saved) if saved.shape == shape => {
+                    restored += 1;
+                    saved.clone()
+                }
+                _ => Tensor::zeros(shape),
+            }
+        });
+        let expected = model.num_parameters();
+        if restored == expected && checkpoint.len() == restored {
+            return Ok(model);
+        }
+        Err(CheckpointMismatch {
+            restored,
+            expected,
+            stored: checkpoint.len(),
+        })
+    }
+
+    /// The model of `config` with each parameter's value from
+    /// `value(name, shape, init)`, asked for in a fixed order: the token
+    /// and kind embeddings, each RGCN layer's self-loop, relation and bias
+    /// weights, then each dense layer's weight and bias. [`PnPModel::new`]
+    /// draws its seeded stream in that order.
+    fn assemble(
+        config: ModelConfig,
+        mut value: impl FnMut(&str, &[usize], Init) -> Tensor,
+    ) -> Self {
+        let mut param = |name: String, shape: &[usize], init| {
+            let v = value(&name, shape, init);
+            Parameter::new(name, v)
+        };
+        let (hidden, relations) = (config.hidden_dim, config.num_relations);
+        let token_embedding = Embedding::from_table(param(
+            "embed.token".into(),
+            &[config.vocab_size, hidden],
+            Init::Embedding,
+        ));
+        let kind_embedding =
+            Embedding::from_table(param("embed.kind".into(), &[3, hidden], Init::Embedding));
 
         let rgcn_layers: Vec<RgcnLayer> = (0..config.num_rgcn_layers)
             .map(|l| {
-                RgcnLayer::new(
-                    &format!("rgcn{l}"),
-                    config.hidden_dim,
-                    config.hidden_dim,
-                    config.num_relations,
-                    &mut rng,
-                )
+                let w_self = param(format!("rgcn{l}.w_self"), &[hidden, hidden], Init::Kaiming);
+                let w_rel = (0..relations)
+                    .map(|r| {
+                        param(
+                            format!("rgcn{l}.w_rel{r}"),
+                            &[hidden, hidden],
+                            Init::Kaiming,
+                        )
+                    })
+                    .collect();
+                let bias = param(format!("rgcn{l}.bias"), &[hidden], Init::Zeros);
+                RgcnLayer::from_parameters(w_self, w_rel, bias)
             })
             .collect();
         let rgcn_activations = (0..config.num_rgcn_layers)
             .map(|_| LeakyReLU::new())
             .collect();
 
-        let fc_in = config.hidden_dim + config.num_dynamic_features;
-        let fc_layers = vec![
-            Linear::with_name("fc0", fc_in, config.fc_hidden, &mut rng),
-            Linear::with_name("fc1", config.fc_hidden, config.fc_hidden, &mut rng),
-            Linear::with_name("fc2", config.fc_hidden, config.num_classes, &mut rng),
+        let fc_in = hidden + config.num_dynamic_features;
+        let widths = [
+            (fc_in, config.fc_hidden),
+            (config.fc_hidden, config.fc_hidden),
+            (config.fc_hidden, config.num_classes),
         ];
+        let fc_layers = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &(d_in, d_out))| {
+                let weight = param(format!("fc{i}.weight"), &[d_in, d_out], Init::Kaiming);
+                let bias = param(format!("fc{i}.bias"), &[d_out], Init::Zeros);
+                Linear::from_parameters(weight, bias)
+            })
+            .collect();
         let fc_activations = vec![ReLU::new(), ReLU::new()];
 
         PnPModel {
@@ -198,7 +330,7 @@ impl PnPModel {
     /// the dense classifier is re-trained, and the expensive graph layers run
     /// once per sample instead of once per sample per epoch.
     pub fn pooled_features(&self, graph: &EncodedGraph) -> Tensor {
-        self.pooled_batch(&one_graph(graph))
+        self.pooled_batch(&one_graph(graph), &mut Workspace::new())
     }
 
     /// Training forward of the classifier head only (dropout →
@@ -280,23 +412,36 @@ impl PnPModel {
     }
 
     /// Embeddings → RGCN stack → per-segment readout over a block-diagonal
-    /// batch: one pooled `(1 x hidden_dim)` row per graph.
-    fn pooled_batch(&self, batch: &GraphBatch) -> Tensor {
+    /// batch: one pooled `(1 x hidden_dim)` row per graph. Each layer writes
+    /// the workspace's output table, activates it in place, and swaps it in
+    /// as the next layer's input.
+    fn pooled_batch(&self, batch: &GraphBatch, ws: &mut Workspace) -> Tensor {
         let plan = batch.plan();
         // A node's input row is fixed by its (token, kind) pair, so the
         // first layer's table holds one row per distinct pair.
         let tok = self.token_embedding.lookup(plan.pair_tokens());
         let kind = self.kind_embedding.lookup(plan.pair_kinds());
-        let mut h = tok.add(&kind);
+        let pairs = tok.add(&kind);
+        let Workspace {
+            input,
+            output,
+            scratch,
+        } = ws;
         let mut rows = InputRows::Pairs;
         for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
-            h = act.forward(&layer.forward(&h, rows, plan));
+            let x = match rows {
+                InputRows::Pairs => &pairs,
+                InputRows::Nodes => &*input,
+            };
+            layer.forward_into(x, rows, plan, output, scratch);
+            act.forward_inplace(output);
+            std::mem::swap(input, output);
             rows = InputRows::Nodes;
         }
         if rows == InputRows::Pairs {
-            h = h.select_rows(plan.node_pairs());
+            pairs.select_rows_into(plan.node_pairs(), input);
         }
-        self.readout.forward_segments(&h, batch.segments())
+        self.readout.forward_segments(input, batch.segments())
     }
 
     /// Fused inference forward over a block-diagonal [`GraphBatch`]:
@@ -324,6 +469,17 @@ impl PnPModel {
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Tensor {
+        self.forward_batch_with(batch, dynamic_features, &mut Workspace::new())
+    }
+
+    /// [`PnPModel::forward_batch`] over the node tables of `ws`; the logits
+    /// do not depend on what `ws` held before.
+    fn forward_batch_with(
+        &self,
+        batch: &GraphBatch,
+        dynamic_features: Option<&[Vec<f32>]>,
+        ws: &mut Workspace,
+    ) -> Tensor {
         assert!(!batch.is_empty(), "cannot run the model on an empty batch");
         match dynamic_features {
             Some(rows) => {
@@ -349,7 +505,7 @@ impl PnPModel {
             ),
         }
 
-        self.head_batch(&self.pooled_batch(batch), dynamic_features)
+        self.head_batch(&self.pooled_batch(batch, ws), dynamic_features)
     }
 
     /// Identity dropout, the optional dynamic features and the dense
@@ -416,9 +572,22 @@ impl PnPModel {
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Vec<Vec<f32>> {
-        let logits = self.forward_batch(batch, dynamic_features);
-        let probs = softmax_rows(&logits);
+        let probs = self.predict_proba_with(batch, dynamic_features, &mut Workspace::new());
         (0..probs.rows()).map(|r| probs.row(r).to_vec()).collect()
+    }
+
+    /// [`PnPModel::predict_proba_batch`] as one `(B x num_classes)` tensor,
+    /// over the node tables of `ws`: how a committee runs every model of a
+    /// call through one workspace and reads each probability row in place.
+    pub fn predict_proba_with(
+        &self,
+        batch: &GraphBatch,
+        dynamic_features: Option<&[Vec<f32>]>,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let mut probs = self.forward_batch_with(batch, dynamic_features, ws);
+        softmax_rows_inplace(&mut probs);
+        probs
     }
 
     /// Class probabilities for one graph (inference mode).
@@ -762,6 +931,57 @@ mod tests {
         let a = trained.predict_proba(&g, None);
         let b = twin.predict_proba(&g, None);
         assert_eq!(a, b, "restored model must match bitwise");
+    }
+
+    #[test]
+    fn a_model_built_from_its_checkpoint_predicts_bitwise_alike() {
+        let g = toy_graph();
+        for dynamic in [0, 3] {
+            let mut trained = PnPModel::new(small_config(5, dynamic));
+            let bundle = trained.all_weights();
+            let mut restored =
+                PnPModel::from_checkpoint(small_config(5, dynamic), &bundle).unwrap();
+            assert_eq!(restored.all_weights().tensors, bundle.tensors);
+            let feats = vec![0.5; dynamic];
+            let feats = (dynamic > 0).then_some(feats.as_slice());
+            let bits = |p: Vec<f32>| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(trained.predict_proba(&g, feats)),
+                bits(restored.predict_proba(&g, feats))
+            );
+        }
+    }
+
+    #[test]
+    fn from_checkpoint_is_as_strict_as_a_full_restore() {
+        let mut source = PnPModel::new(small_config(5, 0));
+        let full = source.all_weights();
+        let expected = full.len();
+        // What a seeded model plus `load_all_weights` would count.
+        let old_check = |bundle: &ParameterBundle| {
+            let mut model = PnPModel::new(small_config(5, 0));
+            let restored = model.load_all_weights(bundle);
+            (restored, model.num_parameters(), bundle.len())
+        };
+        let mut missing = full.clone();
+        missing.tensors.remove("rgcn1.w_rel2");
+        let mut reshaped = full.clone();
+        reshaped
+            .tensors
+            .insert("fc2.bias".into(), Tensor::zeros(&[6]));
+        let mut extra = full.clone();
+        extra
+            .tensors
+            .insert("fc3.weight".into(), Tensor::zeros(&[2, 2]));
+        for bundle in [missing, reshaped, extra] {
+            let fit = PnPModel::from_checkpoint(small_config(5, 0), &bundle)
+                .err()
+                .expect("an unfit checkpoint is refused");
+            assert_eq!((fit.restored, fit.expected, fit.stored), old_check(&bundle));
+        }
+        assert_eq!(old_check(&full), (expected, expected, expected));
+        // Another class count changes the last dense layer's shape.
+        assert!(PnPModel::from_checkpoint(small_config(6, 0), &full).is_err());
     }
 
     #[test]

@@ -239,6 +239,12 @@ impl RgcnLayer {
             })
             .collect();
         let bias = Parameter::new(format!("{prefix}.bias"), Tensor::zeros(&[d_out]));
+        Self::from_parameters(w_self, w_rel, bias)
+    }
+
+    /// A relational layer over the given self-loop weight, one weight per
+    /// relation (`d_in x d_out` each) and `d_out` bias.
+    pub fn from_parameters(w_self: Parameter, w_rel: Vec<Parameter>, bias: Parameter) -> Self {
         RgcnLayer {
             w_self,
             w_rel,
@@ -266,11 +272,28 @@ impl RgcnLayer {
     /// Inference forward over the input table `x` (`plan.table_rows(rows)
     /// x d_in`), whose rows stand for what `rows` says. Returns the
     /// `num_nodes x d_out` node features. Writes no state.
+    pub fn forward(&self, x: &Tensor, rows: InputRows, plan: &ReadPlan) -> Tensor {
+        let mut out = Tensor::zeros(&[0, 0]);
+        self.forward_into(x, rows, plan, &mut out, &mut Tensor::zeros(&[0, 0]));
+        out
+    }
+
+    /// [`RgcnLayer::forward`] written into `out`, with `scratch` for the
+    /// intermediate products. Both take whatever shape the layer needs and
+    /// keep their allocations when those are large enough, so a caller that
+    /// passes the same tables layer after layer allocates them once.
     ///
     /// The self-loop product is computed once per table row, each relation's
     /// product only for the table rows its edges read, and the messages are
     /// scattered relation by relation in edge order.
-    pub fn forward(&self, x: &Tensor, rows: InputRows, plan: &ReadPlan) -> Tensor {
+    pub fn forward_into(
+        &self,
+        x: &Tensor,
+        rows: InputRows,
+        plan: &ReadPlan,
+        out: &mut Tensor,
+        scratch: &mut Tensor,
+    ) {
         assert_eq!(x.cols(), self.d_in(), "RGCN input dimension mismatch");
         assert_eq!(
             x.rows(),
@@ -285,13 +308,19 @@ impl RgcnLayer {
             plan.relations.len()
         );
 
-        // Self-loop term plus bias, then spread from pairs to their nodes.
-        let mut self_term = x.matmul(&self.w_self.value);
-        self_term.add_row_broadcast_inplace(&self.bias.value);
-        let mut out = match rows {
-            InputRows::Nodes => self_term,
-            InputRows::Pairs => self_term.select_rows(&plan.node_pairs),
-        };
+        // Self-loop term plus bias; a pair table's rows are spread to their
+        // nodes.
+        match rows {
+            InputRows::Nodes => {
+                x.matmul_into(&self.w_self.value, out);
+                out.add_row_broadcast_inplace(&self.bias.value);
+            }
+            InputRows::Pairs => {
+                x.matmul_into(&self.w_self.value, scratch);
+                scratch.add_row_broadcast_inplace(&self.bias.value);
+                scratch.select_rows_into(&plan.node_pairs, out);
+            }
+        }
 
         // Per-relation message passing with normalized-sum aggregation.
         for ((edges, reads), w_rel) in plan.relations.iter().zip(&plan.reads).zip(&self.w_rel) {
@@ -304,12 +333,11 @@ impl RgcnLayer {
                 &self.w_self.value
             };
             let sources = reads.sources(rows);
-            let messages = x.matmul_rows(&sources.rows, w);
+            x.matmul_rows_into(&sources.rows, w, scratch);
             for ((&(_, d), &slot), &norm) in edges.iter().zip(&sources.slots).zip(&reads.norms) {
-                out.axpy_row(d, norm, messages.row(slot));
+                out.axpy_row(d, norm, scratch.row(slot));
             }
         }
-        out
     }
 
     /// Training forward over node features `h` (`num_nodes x d_in`): records

@@ -94,6 +94,13 @@ impl LeakyReLU {
             cached_input: None,
         }
     }
+
+    /// [`Layer::forward`] in place: the same value for every element,
+    /// without a new tensor.
+    pub fn forward_inplace(&self, x: &mut Tensor) {
+        let s = self.slope;
+        x.map_inplace(|x| if x > 0.0 { x } else { s * x });
+    }
 }
 
 impl Default for LeakyReLU {
@@ -104,8 +111,9 @@ impl Default for LeakyReLU {
 
 impl Layer for LeakyReLU {
     fn forward(&self, input: &Tensor) -> Tensor {
-        let s = self.slope;
-        input.map(|x| if x > 0.0 { x } else { s * x })
+        let mut out = input.clone();
+        self.forward_inplace(&mut out);
+        out
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Tensor {

@@ -21,8 +21,13 @@ impl Embedding {
     pub fn new(vocab_size: usize, dim: usize, rng: &mut SeededRng) -> Self {
         let mut init = Tensor::randn(&[vocab_size, dim], rng);
         init.scale_inplace(0.1);
+        Self::from_table(Parameter::new("embedding.table", init))
+    }
+
+    /// An embedding over the given `vocab_size x dim` table.
+    pub fn from_table(table: Parameter) -> Self {
         Embedding {
-            table: Parameter::new("embedding.table", init),
+            table,
             cached_ids: None,
         }
     }

@@ -68,7 +68,7 @@ pub use embedding::Embedding;
 pub use init::SeededRng;
 pub use layer::{Layer, Parameter};
 pub use linear::Linear;
-pub use loss::{cross_entropy, mse_loss, softmax_rows};
+pub use loss::{cross_entropy, mse_loss, softmax_rows, softmax_rows_inplace};
 pub use matmul::{matmul_threads, set_matmul_threads, MATMUL_THREADS_ENV_VAR, PAR_MIN_ROWS};
 pub use optim::{Adam, AdamW, Optimizer, Sgd};
 pub use serialize::{load_parameters, save_parameters, ParameterBundle};

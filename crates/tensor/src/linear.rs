@@ -20,12 +20,21 @@ pub struct Linear {
 impl Linear {
     /// Creates a layer with Kaiming-normal weights and zero bias.
     pub fn new(in_features: usize, out_features: usize, rng: &mut SeededRng) -> Self {
-        Linear {
-            weight: Parameter::new(
+        Self::from_parameters(
+            Parameter::new(
                 "linear.weight",
                 kaiming_normal(in_features, out_features, rng),
             ),
-            bias: Parameter::new("linear.bias", Tensor::zeros(&[out_features])),
+            Parameter::new("linear.bias", Tensor::zeros(&[out_features])),
+        )
+    }
+
+    /// A layer over the given `in_features x out_features` weight and
+    /// `out_features` bias.
+    pub fn from_parameters(weight: Parameter, bias: Parameter) -> Self {
+        Linear {
+            weight,
+            bias,
             cached_input: None,
         }
     }
@@ -64,9 +73,9 @@ impl Layer for Linear {
             self.in_features(),
             input.cols()
         );
-        input
-            .matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value)
+        let mut out = input.matmul(&self.weight.value);
+        out.add_row_broadcast_inplace(&self.bias.value);
+        out
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Tensor {

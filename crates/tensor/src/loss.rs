@@ -8,6 +8,12 @@ use crate::Tensor;
 /// Row-wise numerically stable softmax.
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let mut out = logits.clone();
+    softmax_rows_inplace(&mut out);
+    out
+}
+
+/// [`softmax_rows`] in place, without the copy.
+pub fn softmax_rows_inplace(out: &mut Tensor) {
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -20,7 +26,6 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
             *v /= sum;
         }
     }
-    out
 }
 
 /// Softmax cross-entropy over integer class targets.

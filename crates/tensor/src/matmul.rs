@@ -6,15 +6,29 @@
 //! later step reads: [`Tensor::matmul_rows`] takes a list of source rows
 //! (a relation's distinct edge sources, or the first layer's distinct
 //! `(token, kind)` rows) and runs the same per-row kernel over just those.
-//! A simple ikj-ordered kernel with a transposed-operand variant is more
-//! than fast enough on a single core and keeps the code dependency-free.
+//!
+//! ## The `A · B` kernel
+//!
+//! Every output element is the plain ikj loop's: it starts at `0.0` and
+//! adds `a_ik * b_kj` for ascending `k`, skipping `a_ik == 0.0`. The
+//! kernel only changes where that sum lives. It walks an output row in
+//! strips of 16 columns and keeps each strip's 16 sums in a local array
+//! that stays in registers through the whole `k` loop, then stores the
+//! strip once; the ikj loop loaded and stored the output row on every `k`.
+//! Two output rows share a pass, so each 16-float load of a `B` row feeds
+//! both. A width that 16 does not divide ends with a strip aligned to the
+//! last column, which recomputes a few columns of the strip before it with
+//! the same operations and so stores the same bits; rows narrower than a
+//! strip take the ikj loop itself. The products write into a caller's
+//! buffer as well ([`Tensor::matmul_into`], [`Tensor::matmul_rows_into`]),
+//! which is how the inference forward reuses its node tables.
 //!
 //! ## Opt-in intra-op parallelism
 //!
 //! The row-parallel kernels ([`Tensor::matmul`], [`Tensor::matmul_rows`],
 //! [`Tensor::matmul_a_bt`]) can fan their output-row loop out over the
-//! in-tree OpenMP executor (`pnp_openmp::par`). Each worker computes a
-//! contiguous *block of output rows* with exactly the serial kernel's
+//! in-tree OpenMP executor (`pnp_openmp::par`). Each worker runs the serial
+//! kernel's body over a contiguous *block of output rows*, with exactly its
 //! per-element operation order (the inner `k` accumulation stays
 //! ascending), and blocks are written back by index — so the product is
 //! **bit-identical for every worker count**, the same guarantee the
@@ -82,9 +96,10 @@ pub fn matmul_threads() -> usize {
 
 /// Splits `0..m` into at most `workers` contiguous row blocks and runs
 /// `fill` once per block, writing each block's rows into `out.data` by
-/// index. `fill(i, row)` must compute output row `i` exactly as the serial
-/// kernel would — the split only decides *which thread* computes a row,
-/// never the order of float operations within it.
+/// index. `fill(first, rows)` must compute the `n`-wide output rows
+/// `first..` that fill `rows` exactly as the serial kernel would — the
+/// split only decides *which thread* computes a row, never the order of
+/// float operations within it.
 fn fill_rows_blocked<F>(out: &mut Tensor, m: usize, n: usize, workers: usize, fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
@@ -95,14 +110,136 @@ where
         let start = b * block;
         let end = (start + block).min(m);
         let mut rows = vec![0.0f32; (end - start) * n];
-        for i in start..end {
-            fill(i, &mut rows[(i - start) * n..(i - start + 1) * n]);
-        }
+        fill(start, &mut rows);
         rows
     });
     for (b, rows) in computed.into_iter().enumerate() {
         let start = b * block * n;
         out.data[start..start + rows.len()].copy_from_slice(&rows);
+    }
+}
+
+/// Output columns one pass of the `A · B` kernel accumulates in registers.
+const STRIP: usize = 16;
+
+/// Columns `c..c + STRIP` of output rows `a0 · B` and `a1 · B`, where
+/// `b_from` is `B`'s data from column `c` of row 0 on and `n` is `B`'s
+/// width (at least `c + STRIP`). Each accumulator starts at `0.0` and adds
+/// `a_ik * b_kj` for ascending `k`, skipping `a_ik == 0.0` — per element
+/// exactly the float operations of the ikj loop over a zeroed output row.
+/// The two rows share each load of a `B` strip.
+#[inline(always)]
+fn strip_pair(a0: &[f32], a1: &[f32], b_from: &[f32], n: usize) -> [[f32; STRIP]; 2] {
+    let (mut acc0, mut acc1) = ([0.0f32; STRIP], [0.0f32; STRIP]);
+    for ((&x0, &x1), b_row) in a0.iter().zip(a1).zip(b_from.chunks(n)) {
+        let Some(b) = b_row.first_chunk::<STRIP>() else {
+            break;
+        };
+        if x0 != 0.0 {
+            for (acc, &b) in acc0.iter_mut().zip(b) {
+                *acc += x0 * b;
+            }
+        }
+        if x1 != 0.0 {
+            for (acc, &b) in acc1.iter_mut().zip(b) {
+                *acc += x1 * b;
+            }
+        }
+    }
+    [acc0, acc1]
+}
+
+/// [`strip_pair`] for one row.
+#[inline(always)]
+fn strip(a: &[f32], b_from: &[f32], n: usize) -> [f32; STRIP] {
+    let mut acc = [0.0f32; STRIP];
+    for (&x, b_row) in a.iter().zip(b_from.chunks(n)) {
+        let Some(b) = b_row.first_chunk::<STRIP>() else {
+            break;
+        };
+        if x != 0.0 {
+            for (acc, &b) in acc.iter_mut().zip(b) {
+                *acc += x * b;
+            }
+        }
+    }
+    acc
+}
+
+/// The column offsets of the strips that cover an `n`-wide row (`n >=
+/// STRIP`): every full strip, then one strip ending at the last column when
+/// `STRIP` does not divide `n`. That last strip overlaps the one before it
+/// and recomputes the shared columns by the same operations, so writing
+/// them twice writes the same bits.
+fn strip_starts(n: usize) -> impl Iterator<Item = usize> {
+    let ragged = (!n.is_multiple_of(STRIP)).then_some(n - STRIP);
+    (0..n / STRIP).map(|s| s * STRIP).chain(ragged)
+}
+
+/// Columns `c..c + STRIP` of an output row.
+fn strip_mut(row: &mut [f32], c: usize) -> Option<&mut [f32; STRIP]> {
+    row.get_mut(c..)?.first_chunk_mut()
+}
+
+/// `B`'s data from column `c` of row 0 on.
+fn from_column(b: &[f32], c: usize) -> &[f32] {
+    b.get(c..).unwrap_or_default()
+}
+
+/// Output rows `a0 · B` and `a1 · B` (`B` is `k x n` with `n >= STRIP`).
+fn rows_pair(a0: &[f32], a1: &[f32], b: &[f32], n: usize, out0: &mut [f32], out1: &mut [f32]) {
+    for c in strip_starts(n) {
+        if let (Some(o0), Some(o1)) = (strip_mut(out0, c), strip_mut(out1, c)) {
+            [*o0, *o1] = strip_pair(a0, a1, from_column(b, c), n);
+        }
+    }
+}
+
+/// Output row `a · B` (`B` is `k x n`). Rows narrower than a strip take the
+/// plain ikj loop over a zeroed row, which performs the same per-element
+/// operations.
+fn one_row(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    if n >= STRIP {
+        for c in strip_starts(n) {
+            if let Some(o) = strip_mut(out, c) {
+                *o = strip(a, from_column(b, c), n);
+            }
+        }
+        return;
+    }
+    out.fill(0.0);
+    for (&x, b_row) in a.iter().zip(b.chunks_exact(n)) {
+        if x == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(b_row) {
+            *o += x * b;
+        }
+    }
+}
+
+/// Fills the `n`-wide output rows `first..` held by `out` from the rows
+/// `source(j)` of `A` times `B`: two rows per pass while both use strips,
+/// then the odd row alone.
+fn fill_product_rows<'a, S>(source: &S, b: &[f32], n: usize, first: usize, out: &mut [f32])
+where
+    S: Fn(usize) -> &'a [f32],
+{
+    let mut j = first;
+    let rest = if n >= STRIP {
+        let mut pairs = out.chunks_exact_mut(2 * n);
+        for pair in &mut pairs {
+            let (out0, out1) = pair.split_at_mut(n);
+            rows_pair(source(j), source(j + 1), b, n, out0, out1);
+            j += 2;
+        }
+        pairs.into_remainder()
+    } else {
+        out
+    };
+    for row in rest.chunks_exact_mut(n) {
+        one_row(source(j), b, n, row);
+        j += 1;
     }
 }
 
@@ -122,7 +259,16 @@ impl Tensor {
     /// [`Tensor::matmul`] with an explicit worker count (1 = serial). The
     /// result is bit-identical for every `workers` value.
     pub fn matmul_with_threads(&self, other: &Tensor, workers: usize) -> Tensor {
-        self.product_of_rows(self.rows(), |i| self.row(i), other, workers)
+        let mut out = Tensor::zeros(&[self.rows(), other.cols()]);
+        self.product_of_rows(self.rows(), |i| self.row(i), other, workers, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] written into `out`, which takes the product's
+    /// shape and keeps its allocation when that is large enough: how the
+    /// inference forward reuses one node table across layers and models.
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_of_rows(self.rows(), |i| self.row(i), other, matmul_threads(), out);
     }
 
     /// `self.select_rows(rows).matmul(other)` without the copy: output row
@@ -147,15 +293,35 @@ impl Tensor {
         other: &Tensor,
         workers: usize,
     ) -> Tensor {
-        // `j < rows.len()` always: the empty fallback is never taken.
-        let source = |j: usize| rows.get(j).map_or(&[][..], |&r| self.row(r));
-        self.product_of_rows(rows.len(), source, other, workers)
+        let mut out = Tensor::zeros(&[rows.len(), other.cols()]);
+        self.gathered_product(rows, other, workers, &mut out);
+        out
     }
 
-    /// The one `A · B` kernel: `m` output rows, output row `j` computed from
-    /// the row `source(j)` of `self`.
-    fn product_of_rows<'a, S>(&self, m: usize, source: S, other: &Tensor, workers: usize) -> Tensor
-    where
+    /// [`Tensor::matmul_rows`] written into `out`, which takes the
+    /// product's shape and keeps its allocation when that is large enough.
+    pub fn matmul_rows_into(&self, rows: &[usize], other: &Tensor, out: &mut Tensor) {
+        self.gathered_product(rows, other, matmul_threads(), out);
+    }
+
+    /// Output row `j` = source row `rows[j]` times `other`, into `out`.
+    fn gathered_product(&self, rows: &[usize], other: &Tensor, workers: usize, out: &mut Tensor) {
+        // `j < rows.len()` always: the empty fallback is never taken.
+        let source = |j: usize| rows.get(j).map_or(&[][..], |&r| self.row(r));
+        self.product_of_rows(rows.len(), source, other, workers, out);
+    }
+
+    /// The one `A · B` kernel: `m` output rows written into `out`, output
+    /// row `j` computed from the row `source(j)` of `self`. Every element
+    /// of `out` is overwritten, so a reused buffer needs no zeroing.
+    fn product_of_rows<'a, S>(
+        &self,
+        m: usize,
+        source: S,
+        other: &Tensor,
+        workers: usize,
+        out: &mut Tensor,
+    ) where
         S: Fn(usize) -> &'a [f32] + Sync,
     {
         let (k, k2, n) = (self.cols(), other.rows(), other.cols());
@@ -165,28 +331,20 @@ impl Tensor {
             "matmul dimension mismatch: ({}x{k}) · ({k2}x{n})",
             self.rows()
         );
-        let mut out = Tensor::zeros(&[m, n]);
-        // ikj loop order: streams through `other` rows, good cache behaviour.
-        let fill_row = |j: usize, out_row: &mut [f32]| {
-            let a_row = source(j);
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(kk);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b;
-                }
-            }
-        };
-        if workers > 1 && m >= PAR_MIN_ROWS {
-            fill_rows_blocked(&mut out, m, n, workers, fill_row);
-        } else {
-            for i in 0..m {
-                fill_row(i, out.row_mut(i));
-            }
+        out.shape.clear();
+        out.shape.extend([m, n]);
+        out.data.resize(m * n, 0.0);
+        if n == 0 {
+            return;
         }
-        out
+        let b = &other.data;
+        if workers > 1 && m >= PAR_MIN_ROWS {
+            fill_rows_blocked(out, m, n, workers, |first, rows| {
+                fill_product_rows(&source, b, n, first, rows)
+            });
+        } else {
+            fill_product_rows(&source, b, n, 0, &mut out.data);
+        }
     }
 
     /// Computes `selfᵀ · other` without materializing the transpose.
@@ -235,23 +393,26 @@ impl Tensor {
             "matmul_a_bt dimension mismatch: ({m}x{k}) · ({n}x{k2})ᵀ"
         );
         let mut out = Tensor::zeros(&[m, n]);
-        let fill_row = |i: usize, out_row: &mut [f32]| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+        if n == 0 {
+            return out;
+        }
+        let fill = |first: usize, rows: &mut [f32]| {
+            for (i, out_row) in (first..).zip(rows.chunks_exact_mut(n)) {
+                let a_row = self.row(i);
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    let b_row = other.row(j);
+                    let mut acc = 0.0f32;
+                    for (a, b) in a_row.iter().zip(b_row) {
+                        acc += a * b;
+                    }
+                    *o = acc;
                 }
-                *o = acc;
             }
         };
         if workers > 1 && m >= PAR_MIN_ROWS {
-            fill_rows_blocked(&mut out, m, n, workers, fill_row);
+            fill_rows_blocked(&mut out, m, n, workers, fill);
         } else {
-            for i in 0..m {
-                fill_row(i, out.row_mut(i));
-            }
+            fill(0, &mut out.data);
         }
         out
     }

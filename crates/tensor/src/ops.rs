@@ -62,6 +62,11 @@ impl Tensor {
         }
     }
 
+    /// Applies `f` to every element in place.
+    pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
+        self.data.iter_mut().for_each(|x| *x = f(*x));
+    }
+
     /// Combines two same-shaped tensors elementwise with `f`.
     pub fn zip_with<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
         assert_eq!(

@@ -187,12 +187,24 @@ impl Tensor {
 
     /// Returns a new tensor containing the selected rows, in order.
     pub fn select_rows(&self, indices: &[usize]) -> Tensor {
-        let cols = self.cols();
-        let mut out = Tensor::zeros(&[indices.len(), cols]);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.set_row(dst, self.row(src));
-        }
+        let mut out = Tensor::zeros(&[indices.len(), self.cols()]);
+        self.select_rows_into(indices, &mut out);
         out
+    }
+
+    /// [`Tensor::select_rows`] written into `out`, which takes the result's
+    /// shape and keeps its allocation when that is large enough.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Tensor) {
+        let cols = self.cols();
+        out.shape.clear();
+        out.shape.extend([indices.len(), cols]);
+        out.data.resize(indices.len() * cols, 0.0);
+        if cols == 0 {
+            return;
+        }
+        for (dst, &src) in out.data.chunks_exact_mut(cols).zip(indices) {
+            dst.copy_from_slice(self.row(src));
+        }
     }
 
     /// Returns a copy reshaped to `shape` (element count must match).
