@@ -10,7 +10,7 @@
 
 use pnp_core::serving::{resolve_graph, KernelInput};
 use pnp_core::TrainSettings;
-use pnp_gnn::{GraphBatch, PnPModel};
+use pnp_gnn::{GraphBatch, ModelConfig, PnPModel};
 use pnp_graph::{EncodedGraph, Vocabulary};
 
 /// Models per committee, as many as a quick-settings fold committee.
@@ -41,7 +41,11 @@ fn graphs() -> Vec<EncodedGraph> {
 /// FNV-1a over the little-endian bytes of every probability's bits, model
 /// by model, graph by graph, class by class.
 fn committee_digest(num_classes: usize, graphs: &[&EncodedGraph]) -> u64 {
-    let settings = TrainSettings::quick();
+    digest_of(&TrainSettings::quick(), num_classes, graphs)
+}
+
+/// [`committee_digest`] of a committee of `settings`' model shape.
+fn digest_of(settings: &TrainSettings, num_classes: usize, graphs: &[&EncodedGraph]) -> u64 {
     let batch = GraphBatch::from_graphs(graphs).expect("generated graphs batch");
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..COMMITTEE {
@@ -79,5 +83,21 @@ fn a_batch_of_one_matches_the_pinned_digest() {
     assert_eq!(
         time, 0x165c_a5dd_6471_3e2e,
         "inference bits moved: B = 1 digest {time:#018x}"
+    );
+}
+
+#[test]
+fn a_four_layer_committee_matches_the_pinned_digest() {
+    let owned = graphs();
+    let graphs: Vec<&EncodedGraph> = owned.iter().collect();
+    // The paper's depth: as many RGCN layers as `ModelConfig::default`.
+    let settings = TrainSettings {
+        rgcn_layers: ModelConfig::default().num_rgcn_layers,
+        ..TrainSettings::quick()
+    };
+    let time = digest_of(&settings, 126, &graphs);
+    assert_eq!(
+        time, 0xb582_fcbe_1806_c5cc,
+        "inference bits moved: depth-4 digest {time:#018x}"
     );
 }

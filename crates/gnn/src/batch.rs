@@ -7,7 +7,7 @@
 //! a [`GraphBatch`]: `B` graphs concatenated into one block-diagonal graph so
 //! the whole batch runs through one fused forward pass (DESIGN.md §15).
 
-use crate::rgcn::ReadPlan;
+use crate::plan::ReadPlan;
 use pnp_graph::EncodedGraph;
 use pnp_tensor::SeededRng;
 use std::fmt;
@@ -91,20 +91,21 @@ impl std::error::Error for BatchError {}
 /// per-relation edge lists are concatenated graph by graph with the same
 /// shift. No edge crosses a graph boundary, so message passing over the
 /// merged edge lists computes exactly what it would per graph. The batch
-/// also carries its [`ReadPlan`], built once here and shared by every layer
-/// of every model run over the batch: the distinct `(token, kind)` pairs
-/// that form the first layer's input table, and per relation the distinct
-/// rows its edges read. Each RGCN layer multiplies only those rows, so
-/// the batch's products are as tall as its distinct reads, not `B` times
-/// a graph's node count. `segments` (length `B + 1`) records the node
-/// offsets so the readout can pool each graph separately
-/// ([`pnp_tensor::Tensor::segment_mean_rows`]); pooling globally would mix
-/// graphs and break the [bit-identity contract](crate::PnPModel::forward_batch).
+/// also carries its [`ReadPlan`], shared by every layer of every model run
+/// over the batch. On the first inference forward the plan numbers the
+/// batch's row classes (nodes whose rows every layer computes alike,
+/// [`crate::RowClasses`]) and keeps them, so each RGCN layer computes one
+/// row per class: a batch's products are as tall as its distinct rows,
+/// and graphs that repeat another's structure add none. `segments`
+/// (length `B + 1`) records the node offsets so the readout can pool each
+/// graph separately ([`pnp_tensor::Tensor::segment_mean_rows_of`]);
+/// pooling globally would mix graphs and break the
+/// [bit-identity contract](crate::PnPModel::forward_batch).
 ///
 /// # Examples
 ///
 /// ```
-/// use pnp_gnn::{GraphBatch, InputRows};
+/// use pnp_gnn::GraphBatch;
 /// use pnp_graph::EncodedGraph;
 ///
 /// let a = EncodedGraph {
@@ -128,19 +129,22 @@ impl std::error::Error for BatchError {}
 /// // b's edges are shifted by a's 3 nodes; a's are untouched.
 /// assert_eq!(batch.relations()[0], vec![(0, 1), (1, 2), (4, 3)]);
 /// assert_eq!(batch.relations()[1], vec![(3, 4)]);
-/// // The five nodes hold five distinct (token, kind) pairs.
-/// assert_eq!(batch.plan().pair_tokens(), &[0, 1, 2, 3, 4]);
-/// // Relation 0 reads sources 0, 1 and 4; relation 1 reads only node 3.
-/// assert_eq!(batch.plan().source_rows(0, InputRows::Nodes), &[0, 1, 4]);
-/// assert_eq!(batch.plan().source_rows(1, InputRows::Nodes), &[3]);
+/// // No row classes until an inference forward asks for them.
+/// assert_eq!(batch.plan().class_depth(), None);
+/// // The five nodes hold five distinct (token, kind) pairs, so five
+/// // level-0 classes, and five classes at level 1.
+/// let classes = batch.plan().row_classes(1);
+/// assert_eq!(classes.tokens(), &[0, 1, 2, 3, 4]);
+/// assert_eq!(classes.count(1), 5);
+/// // Layer 0's relation 0 reads sources 0, 1 and 4; relation 1 only 3.
+/// assert_eq!(classes.layers()[0].source_rows(0), &[0, 1, 4]);
+/// assert_eq!(classes.layers()[0].source_rows(1), &[3]);
 ///
 /// // An empty batch is a typed error, not a panic.
 /// assert!(GraphBatch::from_graphs(&[]).is_err());
 /// ```
 #[derive(Clone, Debug)]
 pub struct GraphBatch {
-    tokens: Vec<usize>,
-    kinds: Vec<usize>,
     plan: Arc<ReadPlan>,
     segments: Vec<usize>,
 }
@@ -201,9 +205,7 @@ impl GraphBatch {
         }
 
         Ok(GraphBatch {
-            plan: Arc::new(ReadPlan::new(&tokens, &kinds, relations)),
-            tokens,
-            kinds,
+            plan: Arc::new(ReadPlan::new(tokens, kinds, relations)),
             segments,
         })
     }
@@ -226,12 +228,12 @@ impl GraphBatch {
 
     /// Concatenated token ids (`num_nodes` entries).
     pub fn tokens(&self) -> &[usize] {
-        &self.tokens
+        self.plan.tokens()
     }
 
     /// Concatenated node-kind indices (`num_nodes` entries).
     pub fn kinds(&self) -> &[usize] {
-        &self.kinds
+        self.plan.kinds()
     }
 
     /// Merged per-relation edge lists with batch-global node ids.
@@ -239,7 +241,7 @@ impl GraphBatch {
         self.plan.relations()
     }
 
-    /// The rows the RGCN layers read over this batch.
+    /// The rows the RGCN layers read and write over this batch.
     pub fn plan(&self) -> &Arc<ReadPlan> {
         &self.plan
     }

@@ -38,18 +38,24 @@
 //! merged into one block-diagonal graph (concatenated node features, edge
 //! lists shifted by per-graph node offsets) and
 //! [`PnPModel::forward_batch`] runs the whole batch through one fused
-//! forward. The batch's [`ReadPlan`] is built once: each RGCN layer
-//! multiplies only the rows it reads ([`RgcnLayer::forward`]), the first
-//! layer one row per distinct `(token, kind)` pair of the whole batch, so
-//! fusing graphs shares that work and leaves each relation's products as
-//! tall as its distinct edge sources — where the row-parallel matmul
-//! above can engage. Because no edge crosses a graph boundary and
-//! the readout pools per segment, every batched output row is bit-identical
-//! to the single-graph path (DESIGN.md §15) — batching, like threading, is
+//! forward. The batch's [`ReadPlan`] numbers its row classes on the first
+//! inference forward and keeps them for every later model over the batch
+//! ([`RowClasses`]): nodes with the same `(token, kind)` pair and the same
+//! ordered in-edges from same-class sources get bit-identical rows in
+//! every layer (their 1-WL colour), so each layer computes one row per
+//! class — its self product, each relation's product once per distinct
+//! source class, and the scatter only over edges into each class's first
+//! node ([`RgcnLayer::forward_into`]). Fusing graphs shares that work: a
+//! batch's tables are as tall as its distinct rows, and a graph that
+//! repeats another's structure adds none. Because no edge crosses a graph
+//! boundary and the readout pools per segment, reading each node's row
+//! through its class, every batched output row is bit-identical to the
+//! single-graph path (DESIGN.md §15) — batching, like threading, is
 //! a scheduling decision, never a numerical one. Single-graph prediction is
 //! itself a batch of one, and inference takes `&self` throughout, so one
 //! model can serve many threads; only the training forward writes the
-//! backward caches. The node tables an inference forward writes live in a
+//! backward caches, over node rows ([`ReadPlan::node_reads`]) and never
+//! over classes. The row tables an inference forward writes live in a
 //! [`Workspace`] the caller makes per call
 //! ([`PnPModel::predict_proba_with`]); a committee lends one to all its
 //! models, so a call allocates its tables once.
@@ -59,12 +65,14 @@ pub mod batch;
 mod forward_properties;
 pub mod metrics;
 pub mod model;
+pub mod plan;
 pub mod readout;
 pub mod rgcn;
 pub mod train;
 
 pub use batch::{BatchError, GraphBatch, Minibatcher};
 pub use model::{CheckpointMismatch, ModelConfig, PnPModel, Workspace};
+pub use plan::{LayerReads, ReadPlan, RowClasses};
 pub use readout::MeanReadout;
-pub use rgcn::{InputRows, ReadPlan, RgcnLayer};
+pub use rgcn::RgcnLayer;
 pub use train::{TrainConfig, TrainReport, Trainer, TrainingSample};

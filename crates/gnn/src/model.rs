@@ -2,7 +2,7 @@
 
 use crate::batch::GraphBatch;
 use crate::readout::MeanReadout;
-use crate::rgcn::{InputRows, RgcnLayer};
+use crate::rgcn::RgcnLayer;
 use pnp_graph::EncodedGraph;
 use pnp_tensor::init::kaiming_normal;
 use pnp_tensor::{
@@ -62,17 +62,17 @@ fn one_graph(graph: &EncodedGraph) -> GraphBatch {
     GraphBatch::from_graphs(&[graph]).expect("cannot run the model on this graph")
 }
 
-/// The node tables of inference forwards, lent to every RGCN layer of a
+/// The row tables of inference forwards, lent to every RGCN layer of a
 /// forward and to every model of a committee, so a call allocates its
-/// `num_nodes x hidden_dim` tables once instead of once per layer and
+/// `classes x hidden_dim` tables once instead of once per layer and
 /// model. Make one per call and drop it after: it holds no results, only
 /// allocations sized by the largest batch it has seen.
 pub struct Workspace {
-    /// The node table a layer reads.
+    /// The class table a layer reads.
     input: Tensor,
-    /// The node table a layer writes.
+    /// The class table a layer writes.
     output: Tensor,
-    /// Layer 0's per-pair self term, then each relation's messages.
+    /// Each relation's messages.
     scratch: Tensor,
 }
 
@@ -412,36 +412,35 @@ impl PnPModel {
     }
 
     /// Embeddings → RGCN stack → per-segment readout over a block-diagonal
-    /// batch: one pooled `(1 x hidden_dim)` row per graph. Each layer writes
-    /// the workspace's output table, activates it in place, and swaps it in
-    /// as the next layer's input.
+    /// batch: one pooled `(1 x hidden_dim)` row per graph. Every table
+    /// holds one row per row class of the batch's plan: level 0 the
+    /// distinct `(token, kind)` pairs, layer ℓ's output the level-(ℓ+1)
+    /// classes. Each layer writes the workspace's output table, activates
+    /// it in place, and swaps it in as the next layer's input; the readout
+    /// reads each node's row through its class.
     fn pooled_batch(&self, batch: &GraphBatch, ws: &mut Workspace) -> Tensor {
-        let plan = batch.plan();
-        // A node's input row is fixed by its (token, kind) pair, so the
-        // first layer's table holds one row per distinct pair.
-        let tok = self.token_embedding.lookup(plan.pair_tokens());
-        let kind = self.kind_embedding.lookup(plan.pair_kinds());
-        let pairs = tok.add(&kind);
+        let depth = self.rgcn_layers.len();
+        let classes = batch.plan().row_classes(depth);
         let Workspace {
             input,
             output,
             scratch,
         } = ws;
-        let mut rows = InputRows::Pairs;
-        for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
-            let x = match rows {
-                InputRows::Pairs => &pairs,
-                InputRows::Nodes => &*input,
-            };
-            layer.forward_into(x, rows, plan, output, scratch);
+        let tok = self.token_embedding.lookup(classes.tokens());
+        let kind = self.kind_embedding.lookup(classes.kinds());
+        *input = tok.add(&kind);
+        for ((layer, act), reads) in self
+            .rgcn_layers
+            .iter()
+            .zip(&self.rgcn_activations)
+            .zip(classes.layers())
+        {
+            layer.forward_into(input, reads, output, scratch);
             act.forward_inplace(output);
             std::mem::swap(input, output);
-            rows = InputRows::Nodes;
         }
-        if rows == InputRows::Pairs {
-            pairs.select_rows_into(plan.node_pairs(), input);
-        }
-        self.readout.forward_segments(input, batch.segments())
+        self.readout
+            .forward_segments(input, classes.classes(depth), batch.segments())
     }
 
     /// Fused inference forward over a block-diagonal [`GraphBatch`]:
@@ -453,12 +452,15 @@ impl PnPModel {
     /// The batch's merged edge lists have no cross-graph edges and the
     /// readout pools per segment, so every per-node and per-graph value is
     /// computed by exactly the per-row/per-edge operation sequence of a
-    /// graph alone. The batch's [`crate::ReadPlan`] is built once and shared
-    /// by every layer: the first layer multiplies one row per distinct
-    /// `(token, kind)` pair of the whole batch, and every layer multiplies
-    /// each relation's weights only over the rows its edges read. Products
-    /// that reach [`pnp_tensor::PAR_MIN_ROWS`] rows take the row-parallel
-    /// `pnp_tensor` matmul (`PNP_MATMUL_THREADS`).
+    /// graph alone. The batch's [`crate::ReadPlan`] numbers its row classes
+    /// on the first inference forward and keeps them for every later model
+    /// over the batch: each layer computes one row per class, multiplies
+    /// each relation's weights once per distinct source class, and
+    /// scatters only the edges into each class's first node. Nodes of one
+    /// class get bit-identical rows, so this changes no output bit
+    /// (DESIGN.md §15). Products that still reach
+    /// [`pnp_tensor::PAR_MIN_ROWS`] rows take the row-parallel `pnp_tensor`
+    /// matmul (`PNP_MATMUL_THREADS`).
     ///
     /// `dynamic_features`, when present, must hold one row of
     /// `config.num_dynamic_features` values per graph, in batch order.
@@ -708,7 +710,8 @@ impl PnPModel {
         for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
             h = act.forward(&layer.forward_all_rows(&h, batch.relations()));
         }
-        let pooled = self.readout.forward_segments(&h, batch.segments());
+        let nodes: Vec<usize> = (0..h.rows()).collect();
+        let pooled = self.readout.forward_segments(&h, &nodes, batch.segments());
         self.head_batch(&pooled, dynamic_features)
     }
 

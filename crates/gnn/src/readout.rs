@@ -49,15 +49,17 @@ impl MeanReadout {
     }
 
     /// Pools a block-diagonal batch of node features into one graph vector
-    /// per segment: row `i` of the `(B x d)` result is exactly what
-    /// [`MeanReadout::forward`] would produce for the node rows
-    /// `segments[i]..segments[i + 1]` alone, bit for bit (the segment
-    /// reductions reuse the single-graph accumulation order; DESIGN.md §15).
-    pub fn forward_segments(&self, h: &Tensor, segments: &[usize]) -> Tensor {
+    /// per segment, node `i`'s row read from `table.row(rows[i])`: row `s`
+    /// of the `(B x d)` result is exactly what [`MeanReadout::forward`]
+    /// would produce for the node rows `segments[s]..segments[s + 1]`
+    /// alone, bit for bit (the segment reductions reuse the single-graph
+    /// accumulation order; DESIGN.md §15). A table with one row per node
+    /// class pools each node through its class.
+    pub fn forward_segments(&self, table: &Tensor, rows: &[usize], segments: &[usize]) -> Tensor {
         if self.sum_pool {
-            h.segment_sum_rows(segments)
+            table.segment_sum_rows_of(rows, segments)
         } else {
-            h.segment_mean_rows(segments)
+            table.segment_mean_rows_of(rows, segments)
         }
     }
 
@@ -116,7 +118,7 @@ mod tests {
             } else {
                 MeanReadout::new()
             };
-            let batched = single.forward_segments(&h, &segments);
+            let batched = single.forward_segments(&h, &[0, 1, 2, 3, 4], &segments);
             assert_eq!(batched.shape, vec![2, 2]);
             for i in 0..2 {
                 let rows: Vec<Vec<f32>> = (segments[i]..segments[i + 1])

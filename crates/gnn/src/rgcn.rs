@@ -12,199 +12,23 @@
 //! weights are what distinguish the RGCN from a plain GCN — the ablation
 //! benches compare both.
 //!
-//! ## Only the rows that get read
+//! ## One row per class
 //!
-//! A [`ReadPlan`], built once per [`crate::GraphBatch`], records which input
-//! rows the layer reads. [`RgcnLayer::forward`] computes `x · W_0` once per
-//! row of its input table and `x · W_r` only for the rows that relation
-//! `r`'s edges read as sources. The first layer's table holds one row per
-//! distinct `(token, kind)` pair rather than one per node, because that pair
-//! fixes a node's embedded input. Each computed row is the same sequence of
-//! float operations as the all-rows product, and the scatter walks the edges
-//! in the same order, so every output bit is unchanged (DESIGN.md §15).
+//! [`RgcnLayer::forward_into`] computes the output rows a
+//! [`LayerReads`] names from the input-table rows it names: the self term
+//! `x · W_0 + b` once per output row, each relation's `x · W_r` once per
+//! distinct source row, and the messages scattered relation by relation
+//! in edge order. Over row classes (inference, [`crate::ReadPlan::row_classes`])
+//! an output row stands for every node of its class and only the edges
+//! into each class's first node are scattered; over node rows (training,
+//! [`crate::ReadPlan::node_reads`]) every node and edge is kept. Each
+//! computed row is the same sequence of float operations as the all-rows
+//! product and scatter, so every output bit is unchanged (DESIGN.md §15).
 
+use crate::plan::{LayerReads, ReadPlan};
 use pnp_tensor::init::{kaiming_normal, SeededRng};
 use pnp_tensor::{Parameter, Tensor};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// What one row of an RGCN layer's input table stands for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InputRows {
-    /// One row per node: every training layer and inference layers ≥ 1.
-    Nodes,
-    /// One row per distinct `(token, kind)` pair of the plan
-    /// ([`ReadPlan::pair_tokens`] / [`ReadPlan::pair_kinds`]): the embedded
-    /// input of the first inference layer.
-    Pairs,
-}
-
-/// Dedups `(token, kind)` pairs in first-seen order. Returns the distinct
-/// pairs and, per input pair, its position among them.
-fn distinct_pairs(
-    pairs: impl Iterator<Item = (usize, usize)>,
-) -> (Vec<(usize, usize)>, Vec<usize>) {
-    let mut slot_of = HashMap::new();
-    let mut distinct = Vec::new();
-    let slots = pairs
-        .map(|pair| {
-            *slot_of.entry(pair).or_insert_with(|| {
-                distinct.push(pair);
-                distinct.len() - 1
-            })
-        })
-        .collect();
-    (distinct, slots)
-}
-
-/// The distinct input rows one relation's edges read as sources.
-#[derive(Clone, Debug)]
-struct SourceRows {
-    /// Distinct source rows of the input table, in first-seen edge order.
-    rows: Vec<usize>,
-    /// Per edge, in edge order: its source's position in `rows`.
-    slots: Vec<usize>,
-}
-
-impl SourceRows {
-    /// Dedups the edge sources `rows` (each below `table_rows`) in
-    /// first-seen order.
-    fn collect(rows: impl Iterator<Item = usize>, table_rows: usize) -> SourceRows {
-        let mut slot_of = vec![usize::MAX; table_rows];
-        let mut distinct = Vec::new();
-        let slots = rows
-            .map(|row| {
-                let slot = &mut slot_of[row];
-                if *slot == usize::MAX {
-                    *slot = distinct.len();
-                    distinct.push(row);
-                }
-                *slot
-            })
-            .collect();
-        SourceRows {
-            rows: distinct,
-            slots,
-        }
-    }
-}
-
-/// What one relation reads, in both input-table layouts.
-#[derive(Clone, Debug)]
-struct RelationReads {
-    /// Per edge, in edge order: `1 / in_degree(dst)`, the `1 / c_{i,r}` of
-    /// the module docs.
-    norms: Vec<f32>,
-    /// Sources as node rows.
-    nodes: SourceRows,
-    /// Sources as distinct-pair rows.
-    pairs: SourceRows,
-}
-
-impl RelationReads {
-    fn sources(&self, rows: InputRows) -> &SourceRows {
-        match rows {
-            InputRows::Nodes => &self.nodes,
-            InputRows::Pairs => &self.pairs,
-        }
-    }
-}
-
-/// Which input rows an RGCN forward reads, for one batch of graphs. Built
-/// once by [`crate::GraphBatch::from_graphs`] and shared by every layer of
-/// every model run over that batch.
-#[derive(Clone, Debug)]
-pub struct ReadPlan {
-    relations: Vec<Vec<(usize, usize)>>,
-    reads: Vec<RelationReads>,
-    pair_tokens: Vec<usize>,
-    pair_kinds: Vec<usize>,
-    node_pairs: Vec<usize>,
-}
-
-impl ReadPlan {
-    /// Plans the reads of a graph with per-node `tokens` and `kinds` and
-    /// per-relation `(src, dst)` edge lists whose endpoints are node ids
-    /// below `tokens.len()`.
-    pub(crate) fn new(
-        tokens: &[usize],
-        kinds: &[usize],
-        relations: Vec<Vec<(usize, usize)>>,
-    ) -> ReadPlan {
-        assert_eq!(tokens.len(), kinds.len(), "one kind per token");
-        let (pairs, node_pairs) = distinct_pairs(tokens.iter().copied().zip(kinds.iter().copied()));
-        let (pair_tokens, pair_kinds): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
-        let reads = relations
-            .iter()
-            .map(|edges| {
-                let mut in_degree = vec![0usize; tokens.len()];
-                for &(_, d) in edges {
-                    in_degree[d] += 1;
-                }
-                // Exactly `1 / deg as f32`, the all-rows reference's norm.
-                let norms = edges
-                    .iter()
-                    .map(|&(_, d)| 1.0 / in_degree[d] as f32)
-                    .collect();
-                let nodes = SourceRows::collect(edges.iter().map(|&(s, _)| s), tokens.len());
-                let pairs = SourceRows::collect(
-                    edges.iter().map(|&(s, _)| node_pairs[s]),
-                    pair_tokens.len(),
-                );
-                RelationReads {
-                    norms,
-                    nodes,
-                    pairs,
-                }
-            })
-            .collect();
-        ReadPlan {
-            relations,
-            reads,
-            pair_tokens,
-            pair_kinds,
-            node_pairs,
-        }
-    }
-
-    /// Per-relation `(src, dst)` edge lists over node ids.
-    pub fn relations(&self) -> &[Vec<(usize, usize)>] {
-        &self.relations
-    }
-
-    /// Token id of each distinct `(token, kind)` pair, in first-seen node
-    /// order.
-    pub fn pair_tokens(&self) -> &[usize] {
-        &self.pair_tokens
-    }
-
-    /// Kind index of each distinct `(token, kind)` pair, in first-seen node
-    /// order.
-    pub fn pair_kinds(&self) -> &[usize] {
-        &self.pair_kinds
-    }
-
-    /// Each node's row in the pair table.
-    pub fn node_pairs(&self) -> &[usize] {
-        &self.node_pairs
-    }
-
-    /// Row count of an input table of the given layout.
-    pub fn table_rows(&self, rows: InputRows) -> usize {
-        match rows {
-            InputRows::Nodes => self.node_pairs.len(),
-            InputRows::Pairs => self.pair_tokens.len(),
-        }
-    }
-
-    /// The distinct rows of an input table of the given layout that
-    /// relation `relation` reads as edge sources, in first-seen edge order.
-    pub fn source_rows(&self, relation: usize, rows: InputRows) -> &[usize] {
-        self.reads
-            .get(relation)
-            .map_or(&[], |reads| &reads.sources(rows).rows)
-    }
-}
 
 /// One RGCN layer with per-relation weights, a self-loop weight, and a bias.
 pub struct RgcnLayer {
@@ -269,62 +93,46 @@ impl RgcnLayer {
         self.w_rel.len()
     }
 
-    /// Inference forward over the input table `x` (`plan.table_rows(rows)
-    /// x d_in`), whose rows stand for what `rows` says. Returns the
-    /// `num_nodes x d_out` node features. Writes no state.
-    pub fn forward(&self, x: &Tensor, rows: InputRows, plan: &ReadPlan) -> Tensor {
+    /// Forward over the input table `x` (`reads.input_rows() x d_in`):
+    /// returns the `reads.output_rows() x d_out` table. Writes no state.
+    pub fn forward(&self, x: &Tensor, reads: &LayerReads) -> Tensor {
         let mut out = Tensor::zeros(&[0, 0]);
-        self.forward_into(x, rows, plan, &mut out, &mut Tensor::zeros(&[0, 0]));
+        self.forward_into(x, reads, &mut out, &mut Tensor::zeros(&[0, 0]));
         out
     }
 
-    /// [`RgcnLayer::forward`] written into `out`, with `scratch` for the
-    /// intermediate products. Both take whatever shape the layer needs and
+    /// [`RgcnLayer::forward`] written into `out`, with `scratch` for each
+    /// relation's messages. Both take whatever shape the layer needs and
     /// keep their allocations when those are large enough, so a caller that
     /// passes the same tables layer after layer allocates them once.
-    ///
-    /// The self-loop product is computed once per table row, each relation's
-    /// product only for the table rows its edges read, and the messages are
-    /// scattered relation by relation in edge order.
     pub fn forward_into(
         &self,
         x: &Tensor,
-        rows: InputRows,
-        plan: &ReadPlan,
+        reads: &LayerReads,
         out: &mut Tensor,
         scratch: &mut Tensor,
     ) {
         assert_eq!(x.cols(), self.d_in(), "RGCN input dimension mismatch");
         assert_eq!(
             x.rows(),
-            plan.table_rows(rows),
-            "RGCN input table does not match the plan's {rows:?} rows"
+            reads.input_rows(),
+            "RGCN input table does not match the layer's reads"
         );
         assert_eq!(
-            plan.relations.len(),
+            reads.relations().len(),
             self.num_relations(),
             "expected {} relations, got {}",
             self.num_relations(),
-            plan.relations.len()
+            reads.relations().len()
         );
 
-        // Self-loop term plus bias; a pair table's rows are spread to their
-        // nodes.
-        match rows {
-            InputRows::Nodes => {
-                x.matmul_into(&self.w_self.value, out);
-                out.add_row_broadcast_inplace(&self.bias.value);
-            }
-            InputRows::Pairs => {
-                x.matmul_into(&self.w_self.value, scratch);
-                scratch.add_row_broadcast_inplace(&self.bias.value);
-                scratch.select_rows_into(&plan.node_pairs, out);
-            }
-        }
+        // Self-loop term plus bias, once per output row.
+        x.matmul_rows_into(reads.self_rows(), &self.w_self.value, out);
+        out.add_row_broadcast_inplace(&self.bias.value);
 
         // Per-relation message passing with normalized-sum aggregation.
-        for ((edges, reads), w_rel) in plan.relations.iter().zip(&plan.reads).zip(&self.w_rel) {
-            if edges.is_empty() {
+        for (relation, w_rel) in reads.relations().iter().zip(&self.w_rel) {
+            if relation.edges.is_empty() {
                 continue;
             }
             let w = if self.relational {
@@ -332,20 +140,19 @@ impl RgcnLayer {
             } else {
                 &self.w_self.value
             };
-            let sources = reads.sources(rows);
-            x.matmul_rows_into(&sources.rows, w, scratch);
-            for ((&(_, d), &slot), &norm) in edges.iter().zip(&sources.slots).zip(&reads.norms) {
-                out.axpy_row(d, norm, scratch.row(slot));
+            x.matmul_rows_into(&relation.sources, w, scratch);
+            for edge in &relation.edges {
+                out.axpy_row(edge.row, edge.norm, scratch.row(edge.slot));
             }
         }
     }
 
     /// Training forward over node features `h` (`num_nodes x d_in`): records
     /// the input and the plan for [`RgcnLayer::backward`], then runs
-    /// [`RgcnLayer::forward`] over node rows.
+    /// [`RgcnLayer::forward`] over the plan's node rows.
     pub fn forward_train(&mut self, h: &Tensor, plan: &Arc<ReadPlan>) -> Tensor {
         self.cached = Some((h.clone(), Arc::clone(plan)));
-        self.forward(h, InputRows::Nodes, plan)
+        self.forward(h, plan.node_reads())
     }
 
     /// Backward pass: accumulates parameter gradients and returns the
@@ -361,11 +168,12 @@ impl RgcnLayer {
         self.bias.grad.add_assign(&grad_out.sum_rows());
         let mut grad_h = grad_out.matmul_a_bt(&self.w_self.value);
 
-        // Relation gradients.
+        // Relation gradients; over node rows every edge is scattered, so the
+        // reads pair up with the edges one to one.
         for ((edges, reads), w_rel) in plan
-            .relations
+            .relations()
             .iter()
-            .zip(&plan.reads)
+            .zip(plan.node_reads().relations())
             .zip(self.w_rel.iter_mut())
         {
             if edges.is_empty() {
@@ -373,8 +181,8 @@ impl RgcnLayer {
             }
             // dMessages[s] += norm(d) * grad_out[d] for each edge (s, d)
             let mut d_messages = Tensor::zeros(&[h.rows(), grad_out.cols()]);
-            for (&(s, d), &norm) in edges.iter().zip(&reads.norms) {
-                d_messages.axpy_row(s, norm, grad_out.row(d));
+            for (&(s, d), edge) in edges.iter().zip(&reads.edges) {
+                d_messages.axpy_row(s, edge.norm, grad_out.row(d));
             }
             let w = if self.relational {
                 w_rel
@@ -445,7 +253,7 @@ impl RgcnLayer {
         relations: &[Vec<(usize, usize)>],
     ) -> Tensor {
         let out = self.forward_all_rows(h, relations);
-        let plan = ReadPlan::new(&vec![0; h.rows()], &vec![0; h.rows()], relations.to_vec());
+        let plan = ReadPlan::new(vec![0; h.rows()], vec![0; h.rows()], relations.to_vec());
         self.cached = Some((h.clone(), Arc::new(plan)));
         out
     }
@@ -491,14 +299,14 @@ mod tests {
     /// A plan over `num_nodes` nodes that all share one `(token, kind)`.
     fn plan(num_nodes: usize, relations: Vec<Vec<(usize, usize)>>) -> Arc<ReadPlan> {
         Arc::new(ReadPlan::new(
-            &vec![0; num_nodes],
-            &vec![0; num_nodes],
+            vec![0; num_nodes],
+            vec![0; num_nodes],
             relations,
         ))
     }
 
     fn forward(layer: &RgcnLayer, h: &Tensor, relations: Vec<Vec<(usize, usize)>>) -> Tensor {
-        layer.forward(h, InputRows::Nodes, &plan(h.rows(), relations))
+        layer.forward(h, plan(h.rows(), relations).node_reads())
     }
 
     #[test]
@@ -541,43 +349,42 @@ mod tests {
     }
 
     #[test]
-    fn plan_reads_each_distinct_pair_and_source_once() {
-        // Nodes 0 and 2 share (5, 1); node 3 repeats token 5 with kind 0.
-        let plan = ReadPlan::new(
-            &[5, 7, 5, 5],
-            &[1, 0, 1, 0],
+    fn node_reads_keep_every_row_and_read_each_source_once() {
+        let plan = plan(
+            4,
             vec![vec![(2, 1), (0, 1), (2, 3), (2, 3)], vec![], vec![(3, 3)]],
         );
-        assert_eq!(plan.pair_tokens(), &[5, 7, 5]);
-        assert_eq!(plan.pair_kinds(), &[1, 0, 0]);
-        assert_eq!(plan.node_pairs(), &[0, 1, 0, 2]);
-        assert_eq!(plan.source_rows(0, InputRows::Nodes), &[2, 0]);
-        // Nodes 2 and 0 are one pair row.
-        assert_eq!(plan.source_rows(0, InputRows::Pairs), &[0]);
-        assert!(plan.source_rows(1, InputRows::Nodes).is_empty());
-        assert_eq!(plan.source_rows(2, InputRows::Pairs), &[2]);
-        assert_eq!(plan.reads[0].norms, vec![0.5, 0.5, 0.5, 0.5]);
-        assert_eq!(plan.reads[0].pairs.slots, vec![0, 0, 0, 0]);
+        let reads = plan.node_reads();
+        assert_eq!((reads.input_rows(), reads.output_rows()), (4, 4));
+        assert_eq!(reads.self_rows(), &[0, 1, 2, 3]);
+        assert_eq!(reads.source_rows(0), &[2, 0]);
+        assert!(reads.source_rows(1).is_empty());
+        assert_eq!(reads.source_rows(2), &[3]);
+        let edges = &reads.relations()[0].edges;
+        let rows: Vec<(usize, usize)> = edges.iter().map(|e| (e.row, e.slot)).collect();
+        assert_eq!(rows, vec![(1, 0), (1, 1), (3, 0), (3, 0)]);
+        assert!(edges.iter().all(|e| e.norm == 0.5));
     }
 
     #[test]
-    fn pair_table_forward_matches_the_node_table_bitwise() {
+    fn class_table_forward_matches_the_node_table_bitwise() {
         let mut rng = SeededRng::new(7);
         let layer = RgcnLayer::new("rgcn0", 4, 5, 3, &mut rng);
-        let tokens = [3, 1, 3, 3, 1, 0];
-        let kinds = [0, 2, 0, 1, 2, 0];
         let plan = ReadPlan::new(
-            &tokens,
-            &kinds,
+            vec![3, 1, 3, 3, 1, 0],
+            vec![0, 2, 0, 1, 2, 0],
             vec![vec![(0, 1), (2, 1), (4, 5), (5, 0)], vec![(1, 1)], vec![]],
         );
-        let pairs = Tensor::randn(&[plan.table_rows(InputRows::Pairs), 4], &mut rng);
-        let nodes = pairs.select_rows(plan.node_pairs());
-        let from_pairs = layer.forward(&pairs, InputRows::Pairs, &plan);
-        let from_nodes = layer.forward(&nodes, InputRows::Nodes, &plan);
+        let classes = plan.row_classes(1);
+        let pairs = Tensor::randn(&[classes.count(0), 4], &mut rng);
+        let nodes = pairs.select_rows(classes.classes(0));
+        let from_classes = layer
+            .forward(&pairs, &classes.layers()[0])
+            .select_rows(classes.classes(1));
+        let from_nodes = layer.forward(&nodes, plan.node_reads());
         let all_rows = layer.forward_all_rows(&nodes, plan.relations());
         let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&from_pairs), bits(&from_nodes));
+        assert_eq!(bits(&from_classes), bits(&from_nodes));
         assert_eq!(bits(&from_nodes), bits(&all_rows));
     }
 

@@ -58,8 +58,8 @@ fn config(num_dynamic: usize, seed: u64) -> ModelConfig {
 /// Class probabilities from the training-path `forward(g, dyn, true)` of a
 /// twin of `config` without dropout. The twin draws the same weights (the
 /// dropout RNG is seeded separately), and dropout-free training forwards
-/// compute what inference computes — one graph at a time, over a node-row
-/// input table instead of the fused pass's pair table.
+/// compute what inference computes — one graph at a time, over node rows
+/// instead of the fused pass's row classes.
 fn training_reference(
     config: ModelConfig,
     sum_pool: bool,

@@ -151,16 +151,18 @@ impl Tensor {
         s
     }
 
-    /// Per-segment column-wise sum over contiguous row ranges.
+    /// Per-segment column-wise sum over contiguous ranges of gathered rows.
     ///
-    /// `segments` holds `B + 1` ascending row offsets delimiting `B`
-    /// contiguous row blocks (`segments[0] == 0`,
-    /// `segments[B] == self.rows()`); block `i` spans rows
-    /// `segments[i]..segments[i + 1]`. Returns a `[B, cols]` matrix whose
-    /// row `i` equals `sum_rows()` of block `i` — same accumulation order
-    /// (rows ascending, one f32 accumulator per column), so each output
-    /// row is bit-identical to summing the block as a standalone matrix.
-    pub fn segment_sum_rows(&self, segments: &[usize]) -> Tensor {
+    /// Reads the virtual matrix whose row `r` is `self.row(rows[r])`,
+    /// without copying it out: how a readout pools node rows that a table
+    /// stores once per node class. `segments` holds `B + 1` ascending
+    /// offsets into it (`segments[0] == 0`, `segments[B] == rows.len()`);
+    /// block `i` spans virtual rows `segments[i]..segments[i + 1]`. Returns
+    /// a `[B, cols]` matrix whose row `i` equals `sum_rows()` of block `i`
+    /// — same accumulation order (rows ascending, one f32 accumulator per
+    /// column), so each output row is bit-identical to summing the block
+    /// as a standalone matrix.
+    pub fn segment_sum_rows_of(&self, rows: &[usize], segments: &[usize]) -> Tensor {
         assert!(
             !segments.is_empty(),
             "segments must hold at least one offset"
@@ -169,7 +171,7 @@ impl Tensor {
         assert_eq!(segments[0], 0, "segments must start at row 0");
         assert_eq!(
             segments[n],
-            self.rows(),
+            rows.len(),
             "segments must end at the row count"
         );
         let cols = self.cols();
@@ -177,7 +179,7 @@ impl Tensor {
         for s in 0..n {
             assert!(segments[s] <= segments[s + 1], "segments must be ascending");
             let dst = out.row_mut(s);
-            for r in segments[s]..segments[s + 1] {
+            for &r in rows.get(segments[s]..segments[s + 1]).unwrap_or_default() {
                 for (o, v) in dst.iter_mut().zip(self.row(r)) {
                     *o += *v;
                 }
@@ -186,14 +188,14 @@ impl Tensor {
         out
     }
 
-    /// Per-segment column-wise mean over contiguous row ranges.
+    /// Per-segment column-wise mean over contiguous ranges of gathered rows.
     ///
-    /// Same layout contract as [`Tensor::segment_sum_rows`]; row `i` of the
-    /// result equals `mean_rows()` of block `i` bit-for-bit (segment sum,
-    /// then one multiplication by `1.0 / len`, with empty blocks divided by
-    /// 1 exactly as `mean_rows` does for an empty matrix).
-    pub fn segment_mean_rows(&self, segments: &[usize]) -> Tensor {
-        let mut out = self.segment_sum_rows(segments);
+    /// Same layout contract as [`Tensor::segment_sum_rows_of`]; row `i` of
+    /// the result equals `mean_rows()` of block `i` bit-for-bit (segment
+    /// sum, then one multiplication by `1.0 / len`, with empty blocks
+    /// divided by 1 exactly as `mean_rows` does for an empty matrix).
+    pub fn segment_mean_rows_of(&self, rows: &[usize], segments: &[usize]) -> Tensor {
+        let mut out = self.segment_sum_rows_of(rows, segments);
         for s in 0..segments.len() - 1 {
             let len = (segments[s + 1] - segments[s]).max(1) as f32;
             let inv = 1.0 / len;
@@ -334,9 +336,10 @@ mod tests {
             .map(|r| (0..3).map(|c| 0.1 + (r * 3 + c) as f32 * 0.3).collect())
             .collect();
         let m = Tensor::from_rows(&rows);
+        let all: Vec<usize> = (0..6).collect();
         let segments = [0usize, 3, 4, 4, 6];
-        let sums = m.segment_sum_rows(&segments);
-        let means = m.segment_mean_rows(&segments);
+        let sums = m.segment_sum_rows_of(&all, &segments);
+        let means = m.segment_mean_rows_of(&all, &segments);
         assert_eq!(sums.shape, vec![4, 3]);
         assert_eq!(means.shape, vec![4, 3]);
         for s in 0..4 {
@@ -358,17 +361,35 @@ mod tests {
     #[test]
     fn whole_matrix_segment_equals_plain_reductions() {
         let m = Tensor::from_rows(&[vec![1.5, -2.0], vec![0.25, 7.0], vec![-3.0, 0.5]]);
-        let sums = m.segment_sum_rows(&[0, 3]);
+        let sums = m.segment_sum_rows_of(&[0, 1, 2], &[0, 3]);
         assert_eq!(sums.row(0), &m.sum_rows().data[..]);
-        let means = m.segment_mean_rows(&[0, 3]);
+        let means = m.segment_mean_rows_of(&[0, 1, 2], &[0, 3]);
         assert_eq!(means.row(0), &m.mean_rows().data[..]);
+    }
+
+    #[test]
+    fn gathered_segment_reductions_match_the_selected_rows_bitwise() {
+        let m = Tensor::from_rows(&[vec![0.1, -2.3], vec![1.7, 0.3], vec![9.1, 0.7]]);
+        let rows = [2usize, 0, 0, 1, 2];
+        let segments = [0usize, 2, 2, 5];
+        let selected = m.select_rows(&rows);
+        let all: Vec<usize> = (0..rows.len()).collect();
+        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&m.segment_sum_rows_of(&rows, &segments)),
+            bits(&selected.segment_sum_rows_of(&all, &segments))
+        );
+        assert_eq!(
+            bits(&m.segment_mean_rows_of(&rows, &segments)),
+            bits(&selected.segment_mean_rows_of(&all, &segments))
+        );
     }
 
     #[test]
     #[should_panic]
     fn segment_offsets_must_cover_all_rows() {
         let m = Tensor::zeros(&[4, 2]);
-        let _ = m.segment_sum_rows(&[0, 2]);
+        let _ = m.segment_sum_rows_of(&[0, 1, 2, 3], &[0, 2]);
     }
 
     #[test]
